@@ -60,15 +60,6 @@ class FlowSink {
   /// whenever a flow sink is wired.
   virtual void on_forward(const FlowSample& sample) = 0;
 
-  /// Batch-pass variant: all samples of one forward burst, in forward
-  /// order.  Semantically identical to calling on_forward() per sample —
-  /// the default does exactly that — but lets an implementation amortize
-  /// its synchronization across the burst (flow::FlowObserver takes its
-  /// mutex once).  Header spans are valid for the duration of the call.
-  virtual void on_forward_burst(std::span<const FlowSample> samples) {
-    for (const FlowSample& sample : samples) on_forward(sample);
-  }
-
   /// One tokens::Ledger charge made by the component, reported with the
   /// same account and byte count — the exact mirror that makes per-account
   /// roll-ups reconcile with the ledger.

@@ -8,16 +8,10 @@
 // the record path) and export to Chrome trace-event JSON (obs/export.hpp)
 // for viewing in Perfetto.
 //
-// Threading contract: record() is lock-free (one relaxed fetch_add plus a
-// plain slot write) and may be called from any thread; spans() is a
-// quiescent read, valid at batch boundaries (sim thread idle, worker pool
-// drained).  Concurrent writers race on a slot only if the recorder wraps
-// more than once within one batch — size the capacity for the batch
-// volume (the default holds 16Ki spans).
+// Single-threaded: record() and spans() run on the simulator's thread.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -85,34 +79,19 @@ struct SpanRecord {
   void set_excerpt(std::span<const std::uint8_t> header);
 };
 
-/// Bounded lock-free span ring ("flight recorder").  Capacity is rounded
-/// up to a power of two; once full, new spans overwrite the oldest and
-/// dropped() counts the overwrites.
+/// Bounded span ring ("flight recorder").  Capacity is rounded up to a
+/// power of two; once full, new spans overwrite the oldest and dropped()
+/// counts the overwrites.
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 14;
 
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-  void record(const SpanRecord& span) {
-    const auto seq = head_.fetch_add(1, std::memory_order_relaxed);
-    ring_[seq & mask_] = span;
-  }
-
-  /// Batch-pass variant: one ring reservation for the whole burst, spans
-  /// landing in input order.
-  void record_burst(std::span<const SpanRecord> spans) {
-    const auto base =
-        head_.fetch_add(spans.size(), std::memory_order_relaxed);
-    for (std::size_t i = 0; i < spans.size(); ++i) {
-      ring_[(base + i) & mask_] = spans[i];
-    }
-  }
+  void record(const SpanRecord& span) { ring_[head_++ & mask_] = span; }
 
   /// Total spans ever recorded (including overwritten ones).
-  [[nodiscard]] std::uint64_t recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t recorded() const { return head_; }
   /// Spans lost to ring wrap-around.
   [[nodiscard]] std::uint64_t dropped() const {
     const auto n = recorded();
@@ -120,17 +99,16 @@ class FlightRecorder {
   }
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
 
-  /// Retained spans, oldest first.  Quiescent read: call at a batch
-  /// boundary only.
+  /// Retained spans, oldest first.
   [[nodiscard]] std::vector<SpanRecord> spans() const;
 
-  /// Forgets all spans (counts included).  Quiescent only.
+  /// Forgets all spans (counts included).
   void clear();
 
  private:
   std::vector<SpanRecord> ring_;
   std::size_t mask_;
-  std::atomic<std::uint64_t> head_{0};
+  std::uint64_t head_ = 0;
 };
 
 class FlowSink;  // obs/flow_sink.hpp

@@ -7,8 +7,7 @@
 namespace srp::sim {
 
 EventId Simulator::at(Time when, EventQueue::Callback cb) {
-  // Scheduling from a worker thread would race the event queue and break
-  // replay determinism; offloaded work reports back via its own monitor.
+  // The one guard that the system stays single-threaded.
   SIRPENT_EXPECTS(std::this_thread::get_id() == owner_);
   if (when < now_) {
     throw std::invalid_argument("Simulator::at: scheduling into the past");

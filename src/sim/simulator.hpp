@@ -18,13 +18,8 @@ namespace srp::sim {
 /// order.  Determinism: identical schedules (and identical RNG seeds in the
 /// components) replay identically.
 ///
-/// Single-threaded is a checked contract, not a convention: with the
-/// exec::WorkerPool in the tree, a worker accidentally scheduling an event
-/// would silently destroy reproducibility.  The simulator records its
-/// owning thread at construction and (in contract-enabled builds) rejects
-/// at()/after()/run*() from any other thread — offloaded work must hand
-/// results back through its own synchronized state and let the sim thread
-/// consume them at a scheduled event (see tokens::ValidationEngine).
+/// Single-threaded by contract: at()/after()/run*() from any thread but
+/// the constructing one violate SIRPENT_EXPECTS in contract-enabled builds.
 class Simulator {
  public:
   Simulator() = default;
@@ -63,7 +58,7 @@ class Simulator {
 
   EventQueue events_;
   Time now_ = 0;
-  std::thread::id owner_ = std::this_thread::get_id();
+  decltype(std::this_thread::get_id()) owner_ = std::this_thread::get_id();
 };
 
 }  // namespace srp::sim

@@ -1,20 +1,12 @@
-// Named-metric registry safe to write from worker threads.
-//
-// The single-threaded harnesses read component stats structs directly;
-// once work fans across the exec::WorkerPool those structs cannot be
-// bumped from workers without racing.  Components that run on the pool
-// count through here instead.  Three metric kinds share one contract:
+// Named-metric registry.  Three metric kinds:
 //
 //   Counter    monotonically increasing event count,
 //   Gauge      instantaneous level (queue depth, cache occupancy),
 //   Histogram  fixed log2-bucket distribution (latencies, sizes).
 //
-// Creation/lookup takes the name-map lock once; the returned reference is
-// stable for the registry's lifetime (std::map node stability) and may be
-// cached, so every hot-path update is a handful of relaxed atomics with no
-// lock.  Snapshots are consistent at batch boundaries (the sim thread
-// between events, or after WorkerPool::wait_idle), which is when the
-// harnesses and exporters read them.
+// The returned reference is stable for the registry's lifetime (std::map
+// node stability) and may be cached, so a hot-path update is one add.
+// Single-threaded: every access happens on the simulator's thread.
 //
 // Naming convention: `component.instance.metric` — 2 to 5 non-empty
 // segments of [A-Za-z0-9_-] joined by single dots, nothing else.  The
@@ -24,7 +16,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -33,7 +24,6 @@
 #include <string_view>
 
 #include "check/analysis.hpp"
-#include "check/sync.hpp"
 
 namespace srp::stats {
 
@@ -46,36 +36,27 @@ namespace srp::stats {
 /// "h0_prop_p1"); an empty input becomes "_".
 [[nodiscard]] std::string metric_component(std::string_view raw);
 
-/// One monotonically increasing counter.  Relaxed ordering: totals are
-/// read at batch boundaries (after WorkerPool::wait_idle), which already
-/// orders the memory.
+/// One monotonically increasing counter.
 class Counter {
  public:
-  SRP_HOT_PATH void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  SRP_HOT_PATH void add(std::uint64_t n = 1) { value_ += n; }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// An instantaneous level that can move both ways (queue depth, token-cache
-/// occupancy, throttle-table size).  Same relaxed-at-batch-boundary
-/// contract as Counter.
+/// occupancy, throttle-table size).
 class Gauge {
  public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d = 1) { value_.fetch_add(d, std::memory_order_relaxed); }
-  void sub(std::int64_t d = 1) { value_.fetch_sub(d, std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void set(std::int64_t v) { value_ = v; }
+  void add(std::int64_t d = 1) { value_ += d; }
+  void sub(std::int64_t d = 1) { value_ -= d; }
+  [[nodiscard]] std::int64_t value() const { return value_; }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  std::int64_t value_ = 0;
 };
 
 /// Point-in-time copy of one Histogram, with the percentile math.  Bucket i
@@ -106,8 +87,7 @@ struct HistogramSnapshot {
   [[nodiscard]] std::uint64_t p99() const { return percentile(0.99); }
 };
 
-/// Lock-free fixed log2-bucket histogram.  record() is two relaxed
-/// fetch_adds — safe from any thread, cheap enough for per-packet latency
+/// Fixed log2-bucket histogram, cheap enough for per-packet latency
 /// samples.  Bucket 0 holds the value 0; bucket i (1..64) holds values
 /// whose bit width is i, i.e. [2^(i-1), 2^i - 1].  Values are unit-free;
 /// by convention the metric name carries the unit suffix (e.g. "_ps").
@@ -128,29 +108,23 @@ class Histogram {
   }
 
   SRP_HOT_PATH void record(std::uint64_t value) {
-    counts_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    ++data_.buckets[bucket_of(value)];
+    data_.sum += value;
+    ++data_.count;
   }
 
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t p50() const { return snapshot().p50(); }
-  [[nodiscard]] std::uint64_t p99() const { return snapshot().p99(); }
+  [[nodiscard]] std::uint64_t count() const { return data_.count; }
+  [[nodiscard]] std::uint64_t sum() const { return data_.sum; }
+  [[nodiscard]] std::uint64_t p50() const { return data_.p50(); }
+  [[nodiscard]] std::uint64_t p99() const { return data_.p99(); }
 
-  [[nodiscard]] HistogramSnapshot snapshot() const;
+  [[nodiscard]] HistogramSnapshot snapshot() const { return data_; }
 
  private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
+  HistogramSnapshot data_;
 };
 
-/// Every metric of one registry, copied at a batch boundary.  The maps are
+/// Every metric of one registry, copied at one instant.  The maps are
 /// name-sorted, so exporters iterating them emit deterministic output.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
@@ -165,36 +139,29 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// The counter named @p name, created on first use.  The returned
-  /// reference stays valid for the registry's lifetime and may be cached
-  /// and bumped from any thread.  @p name must satisfy
+  /// reference stays valid for the registry's lifetime and may be cached.
+  /// @p name must satisfy
   /// is_valid_metric_name() (contract-checked in debug builds).
-  Counter& counter(const std::string& name) SRP_EXCLUDES(mutex_);
+  Counter& counter(const std::string& name);
 
   /// The gauge named @p name; same lifetime and naming contract.
-  Gauge& gauge(const std::string& name) SRP_EXCLUDES(mutex_);
+  Gauge& gauge(const std::string& name);
 
   /// The histogram named @p name; same lifetime and naming contract.
-  Histogram& histogram(const std::string& name) SRP_EXCLUDES(mutex_);
+  Histogram& histogram(const std::string& name);
 
   /// Point-in-time copy of every counter value.
   [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const
-      SRP_EXCLUDES(mutex_);
+     ;
 
   /// Point-in-time copy of every metric (counters, gauges, histograms) —
-  /// what the exporters consume.  Consistent at batch boundaries.
-  [[nodiscard]] MetricsSnapshot full_snapshot() const SRP_EXCLUDES(mutex_);
-
-  /// Process-wide registry for components without an obvious owner.
-  static Registry& global();
+  /// what the exporters consume.
+  [[nodiscard]] MetricsSnapshot full_snapshot() const;
 
  private:
-  mutable srp::Mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_
-      SRP_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_
-      SRP_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      SRP_GUARDED_BY(mutex_);
+  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
+  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace srp::stats

@@ -246,10 +246,7 @@ SRP_HOT_PATH void ViperRouter::forward_burst(
     slot.fast = classify_fast(arrival, slot.view);
   }
 
-  // Pass 2: prefetch validation tickets for this burst's uncached tokens.
-  prefetch_burst_tokens();
-
-  // Pass 3: per-item, in strict arrival order.  Slow items flush the
+  // Pass 2: per-item, in strict arrival order.  Slow items flush the
   // accumulated observability first so the flow sampler draws in exactly
   // the per-packet order.
   for (std::size_t i = 0; i < burst.size(); ++i) {
@@ -263,19 +260,6 @@ SRP_HOT_PATH void ViperRouter::forward_burst(
     }
   }
   flush_burst_obs();
-
-  // Every prefetched ticket is normally consumed by its fast item's
-  // admission above.  The one escape: a slow item sharing the token value
-  // entered pending_verifies_ first, orphaning the fast item's ticket —
-  // settle such strays now so the engine's await-every-ticket contract
-  // holds.
-  if (!pending_tickets_.empty()) {
-    for (const auto& [key, ticket] : SRP_ORDER_OK(pending_tickets_)) {
-      (void)key;
-      (void)validation_engine_->await(ticket);
-    }
-    pending_tickets_.clear();
-  }
 }
 
 SRP_HOT_PATH bool ViperRouter::classify_fast(const net::Arrival& arrival,
@@ -304,40 +288,6 @@ SRP_HOT_PATH bool ViperRouter::classify_fast(const net::Arrival& arrival,
     return false;
   }
   return true;
-}
-
-SRP_HOT_PATH void ViperRouter::prefetch_burst_tokens() {
-  if (!config_.require_tokens || authority_ == nullptr ||
-      validation_engine_ == nullptr) {
-    return;
-  }
-  prefetch_tokens_.clear();
-  prefetch_keys_.clear();
-  for (const BurstSlot& slot : burst_slots_) {
-    if (!slot.fast || slot.view.token.empty()) continue;
-    const std::uint64_t key = tokens::TokenCache::key_of(slot.view.token);
-    // Skip tokens already verifying, already ticketed, already cached —
-    // and dedup within the burst — so exactly one submission exists per
-    // distinct uncached token, the same as the per-packet path.
-    if (pending_verifies_.contains(key)) continue;
-    if (!pending_tickets_.empty() && pending_tickets_.contains(key)) continue;
-    if (std::find(prefetch_keys_.begin(), prefetch_keys_.end(), key) !=
-        prefetch_keys_.end()) {
-      continue;
-    }
-    if (token_cache_.probe(slot.view.token)) continue;
-    SRP_ALLOC_OK(prefetch_keys_.push_back(key));       // capacity-warm
-    SRP_ALLOC_OK(prefetch_tokens_.push_back(slot.view.token));
-  }
-  if (prefetch_tokens_.empty()) return;
-  prefetch_tickets_.clear();
-  validation_engine_->submit_batch(config_.router_id, prefetch_tokens_,
-                                   prefetch_tickets_);
-  SIRPENT_INVARIANT(prefetch_tickets_.size() == prefetch_keys_.size());
-  for (std::size_t i = 0; i < prefetch_keys_.size(); ++i) {
-    SRP_ALLOC_OK(
-        pending_tickets_.emplace(prefetch_keys_[i], prefetch_tickets_[i]));
-  }
 }
 
 SRP_HOT_PATH void ViperRouter::forward_fast(const net::Arrival& arrival,
@@ -467,11 +417,15 @@ SRP_HOT_PATH void ViperRouter::forward_fast(const net::Arrival& arrival,
 
 SRP_HOT_PATH void ViperRouter::flush_burst_obs() {
   if (!burst_samples_.empty()) {
-    obs_flow_->on_forward_burst(burst_samples_);
+    for (const obs::FlowSample& sample : burst_samples_) {
+      obs_flow_->on_forward(sample);
+    }
     burst_samples_.clear();
   }
   if (!burst_spans_.empty()) {
-    obs_recorder_->record_burst(burst_spans_);
+    for (const obs::SpanRecord& span : burst_spans_) {
+      obs_recorder_->record(span);
+    }
     burst_spans_.clear();
   }
 }
@@ -697,11 +651,6 @@ ViperRouter::admit_token_ref(const TokenRef& ref, int physical_port,
   }
 
   // Miss: start the (slow) verification exactly once per token value.
-  // With a ValidationEngine attached, the XTEA decrypt + MAC check runs on
-  // the worker pool while simulated time passes; the completion event
-  // below awaits the ticket at exactly the instant the serial code would
-  // have computed the same (pure-function) result, so the simulation
-  // schedule is bit-identical either way.
   const std::uint64_t key = tokens::TokenCache::key_of(ref.token);
   if (!pending_verifies_.contains(key)) {
     // Verification slow path: one-time bookkeeping per distinct token
@@ -711,26 +660,13 @@ ViperRouter::admit_token_ref(const TokenRef& ref, int physical_port,
     SRP_ALLOC_OK(
         wire::Bytes token_copy(ref.token.begin(), ref.token.end()));
     const std::uint64_t first_packet_bytes = packet_bytes;
-    std::optional<tokens::ValidationEngine::Ticket> ticket;
-    if (validation_engine_ != nullptr) {
-      // A batched drain prefetched this burst's uncached tokens; consume
-      // the parked ticket instead of re-submitting.
-      const auto prefetched = pending_tickets_.find(key);
-      if (prefetched != pending_tickets_.end()) {
-        ticket = prefetched->second;
-        pending_tickets_.erase(prefetched);
-      } else {
-        ticket = validation_engine_->submit(config_.router_id, token_copy);
-      }
-    }
     // SRP_ALLOC_OK(verification completion event, once per token value)
     sim_.after(config_.verify_delay, [this, token_copy = std::move(token_copy),
-                                      first_packet_bytes, key, ticket] {
+                                      first_packet_bytes, key] {
       pending_verifies_.erase(key);
       const std::optional<tokens::TokenBody> body =
-          ticket.has_value() ? validation_engine_->await(*ticket)
-                             : authority_->open(config_.router_id, token_copy);
-      // Store + optimistic settlement in one atomic cache step: the first
+          authority_->open(config_.router_id, token_copy);
+      // Store + optimistic settlement in one cache step: the first
       // packet that flew before verification landed is charged exactly
       // once (tokens/token_core.hpp owns the transition).
       const std::uint64_t settle_bytes =

@@ -26,7 +26,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -43,7 +42,6 @@
 #include "sim/time.hpp"
 #include "tokens/cache.hpp"
 #include "tokens/token.hpp"
-#include "tokens/validator.hpp"
 #include "viper/codec.hpp"
 
 namespace srp::viper {
@@ -167,15 +165,6 @@ class ViperRouter : public net::PortedNode {
   /// Enables token enforcement against @p authority, charging @p ledger.
   void set_token_authority(const tokens::TokenAuthority* authority,
                            tokens::Ledger* ledger);
-
-  /// Offloads uncached-token verification (XTEA decrypt + MAC check) to
-  /// @p engine's worker pool: submitted at cache-miss time, awaited inside
-  /// the verify-completion event, so results land at the same simulated
-  /// instants as the serial path (deterministic).  nullptr reverts to
-  /// inline verification.
-  void set_validation_engine(tokens::ValidationEngine* engine) {
-    validation_engine_ = engine;
-  }
 
   /// Adjusts token enforcement after construction (experiment harness
   /// convenience).
@@ -333,12 +322,6 @@ class ViperRouter : public net::PortedNode {
   /// Pure — no counters move — so a slow item replays from scratch.
   bool classify_fast(const net::Arrival& arrival, SegmentView& view) const;
 
-  /// Batch pass 2: submits validation tickets for the burst's distinct
-  /// uncached tokens before any packet is admitted, so the engine's
-  /// workers overlap the whole burst.  Tickets are parked in
-  /// pending_tickets_ and consumed by admit_token_ref()'s miss path.
-  void prefetch_burst_tokens();
-
   /// The zero-copy per-item pass: admission, in-place header rewrite into
   /// an arena slab, timing, accounting.  Mirrors forward() exactly for the
   /// packets classify_fast() accepts.
@@ -386,7 +369,6 @@ class ViperRouter : public net::PortedNode {
 
   const tokens::TokenAuthority* authority_ = nullptr;
   tokens::Ledger* ledger_ = nullptr;
-  tokens::ValidationEngine* validation_engine_ = nullptr;
   tokens::TokenCache token_cache_;
   std::unordered_set<std::uint64_t> pending_verifies_;
 
@@ -399,13 +381,6 @@ class ViperRouter : public net::PortedNode {
   std::vector<BurstSlot> burst_slots_;
   std::vector<obs::FlowSample> burst_samples_;
   std::vector<obs::SpanRecord> burst_spans_;
-  /// Verification tickets prefetched for the burst in flight, by token
-  /// cache key.  Consumed by admit_token_ref() within the same drain.
-  std::unordered_map<std::uint64_t, tokens::ValidationEngine::Ticket>
-      pending_tickets_;
-  std::vector<std::span<const std::uint8_t>> prefetch_tokens_;
-  std::vector<std::uint64_t> prefetch_keys_;
-  std::vector<tokens::ValidationEngine::Ticket> prefetch_tickets_;
 
   ControlHandler control_handler_;
   Shaper shaper_;

@@ -236,6 +236,28 @@ TEST(RouteCacheTest, CachesAndSwitchesOnFailure) {
   EXPECT_EQ(cache.stats().queries, 1u);
 }
 
+TEST(RouteCacheTest, WarmEntryServesRepeatedReadsWithoutRequery) {
+  sim::Simulator sim;
+  DiamondTopo d;
+  Directory directory(d.topo);
+  directory.register_name("h5", d.h5, 0);
+  RouteCacheConfig config;
+  config.ttl = 3'600 * sim::kSecond;  // stays warm for the whole test
+  RouteCache cache(sim, directory, d.h0, config);
+  ASSERT_TRUE(cache.route_to("h5").has_value());
+  const sim::Time base = cache.base_rtt("h5");
+  ASSERT_GT(base, 0);
+  constexpr std::uint64_t kReads = 1'000;
+  for (std::uint64_t i = 0; i < kReads; ++i) {
+    EXPECT_TRUE(cache.route_to("h5").has_value());
+    EXPECT_EQ(cache.base_rtt("h5"), base);
+    cache.report_rtt("h5", base);  // at base: never degraded
+  }
+  EXPECT_EQ(cache.stats().queries, 1u);
+  EXPECT_EQ(cache.stats().hits, kReads);
+  EXPECT_EQ(cache.stats().switches, 0u);
+}
+
 TEST(RouteCacheTest, SustainedRttInflationSwitches) {
   sim::Simulator sim;
   DiamondTopo d;

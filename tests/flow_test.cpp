@@ -138,6 +138,38 @@ TEST(FlowTable, SpaceSavingBoundsAndHeavyHitterGuarantee) {
   }
 }
 
+TEST(FlowTable, TotalsExactAcrossEvictionsAndReads) {
+  // Shared heavy keys mixed with per-source churn that forces space-saving
+  // evictions, with top()/all() reads interleaved: the accounting identity
+  // (total_bytes = sum of every record() call) stays exact.
+  flow::FlowTable table(32);
+  constexpr int kSources = 8;
+  constexpr int kPerSource = 2'000;
+  for (int t = 0; t < kSources; ++t) {
+    for (int i = 0; i < kPerSource; ++i) {
+      const bool shared = i % 4 != 0;
+      const flow::FlowKey key{
+          shared ? 0x5EEDull + static_cast<std::uint64_t>(i % 8)
+                 : 0x1000ull * static_cast<std::uint64_t>(t) + i,
+          static_cast<std::uint32_t>(t), 0};
+      table.record(key, 100, i % 2 == 0, i, 1, 2);
+      if (i % 64 == 0) {
+        (void)table.top(4);
+        (void)table.all();
+      }
+    }
+  }
+  const auto stats = table.stats();
+  EXPECT_EQ(stats.recorded, std::uint64_t{kSources} * kPerSource);
+  EXPECT_EQ(stats.total_bytes, 100ull * kSources * kPerSource);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(table.size(), table.capacity());
+  for (const auto& record : table.all()) {
+    EXPECT_GE(record.bytes, record.error_bytes);
+    EXPECT_GE(record.packets, record.error_packets);
+  }
+}
+
 TEST(FlowTable, DeterministicAcrossReruns) {
   const auto run = [] {
     flow::FlowTable table(4);

@@ -151,6 +151,45 @@ TEST(RegistryFullSnapshot, CoversAllThreeKinds) {
   EXPECT_EQ(registry.snapshot().at("viper.r1.token_hit"), 3u);
 }
 
+TEST(StatsRegistry, CountersAddUpAcrossRelookups) {
+  // A cached reference and a by-name relookup reach the same counter, and
+  // the reference survives the name map growing around it.
+  stats::Registry registry;
+  stats::Counter& shared = registry.counter("test.shared");
+  for (int t = 0; t < 8; ++t) {
+    stats::Counter& mine =
+        registry.counter("test.name_" + std::to_string(t));
+    for (int i = 0; i < 100; ++i) {
+      shared.add();
+      mine.add(2);
+      registry.counter("test.shared").add();
+    }
+  }
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.at("test.shared"), 2u * 8 * 100);
+  for (int t = 0; t < 8; ++t) {
+    EXPECT_EQ(snap.at("test.name_" + std::to_string(t)), 2u * 100);
+  }
+}
+
+TEST(StatsRegistry, GaugeAndHistogramTotalsBalance) {
+  stats::Registry registry;
+  stats::Gauge& depth = registry.gauge("test.queue.depth");
+  stats::Histogram& wait = registry.histogram("test.queue.wait_ps");
+  constexpr std::uint64_t kSamples = 1'000;
+  for (std::uint64_t i = 0; i < kSamples; ++i) {
+    depth.add(1);
+    wait.record(i * 37);
+    depth.sub(1);
+  }
+  EXPECT_EQ(registry.gauge("test.queue.depth").value(), 0);
+  const auto snap = registry.histogram("test.queue.wait_ps").snapshot();
+  EXPECT_EQ(snap.count, kSamples);
+  std::uint64_t bucketed = 0;
+  for (const auto bucket : snap.buckets) bucketed += bucket;
+  EXPECT_EQ(bucketed, snap.count);
+}
+
 // --- flight recorder -------------------------------------------------------
 
 obs::SpanRecord hop_span(std::uint64_t trace, std::uint32_t hop) {

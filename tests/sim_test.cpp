@@ -1,12 +1,13 @@
 // Unit tests for the discrete-event simulator substrate.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
+#include "check/contract.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace srp::sim {
 namespace {
@@ -100,6 +101,33 @@ TEST(Simulator, SchedulingIntoPastThrows) {
   EXPECT_THROW(sim.at(50, [] {}), std::invalid_argument);
 }
 
+struct OwnerContractFired {};
+
+[[noreturn]] void owner_contract_handler(const check::Violation&) {
+  throw OwnerContractFired{};
+}
+
+// The owner-thread contract is the one guard that the system stays
+// single-threaded: scheduling from any other thread must fire it.
+TEST(Simulator, SchedulingFromAnotherThreadViolatesOwnerContract) {
+  if (!SIRPENT_CONTRACTS_ENABLED) GTEST_SKIP() << "contracts compiled out";
+  Simulator sim;
+  sim.at(1, [] {});  // the owning thread schedules freely
+  const auto previous = check::set_violation_handler(owner_contract_handler);
+  bool fired = false;
+  std::thread other([&sim, &fired] {
+    try {
+      sim.at(2, [] {});
+    } catch (const OwnerContractFired&) {
+      fired = true;
+    }
+  });
+  other.join();
+  check::set_violation_handler(previous);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
 TEST(Simulator, CancelPendingEvent) {
   Simulator sim;
   bool ran = false;
@@ -186,45 +214,6 @@ TEST(Rng, SplitStreamsIndependent) {
   Rng a(42);
   Rng b = a.split();
   EXPECT_NE(a.next_u64(), b.next_u64());
-}
-
-TEST(Trace, DisabledByDefaultAndCounts) {
-  Trace trace;
-  trace.emit(1, "x", "hello");
-  EXPECT_TRUE(trace.records().empty());
-  trace.enable();
-  trace.emit(2, "x", "hello world");
-  trace.emit(3, "y", "goodbye");
-  EXPECT_EQ(trace.records().size(), 2u);
-  EXPECT_EQ(trace.count_containing("hello"), 1u);
-  EXPECT_EQ(trace.count_containing("o"), 2u);
-}
-
-TEST(Trace, RetentionIsBoundedByLimit) {
-  Trace trace;
-  trace.enable();
-  trace.set_limit(4);
-  for (int i = 0; i < 10; ++i) {
-    trace.emit(i, "x", "msg" + std::to_string(i));
-  }
-  EXPECT_EQ(trace.records().size(), 4u);
-  EXPECT_EQ(trace.dropped(), 6u);
-  // Oldest evicted first: the retained window is the most recent four.
-  EXPECT_EQ(trace.records().front().message, "msg6");
-  EXPECT_EQ(trace.records().back().message, "msg9");
-}
-
-TEST(Trace, ShrinkingLimitEvictsImmediately) {
-  Trace trace;
-  trace.enable();
-  for (int i = 0; i < 8; ++i) trace.emit(i, "x", "m");
-  EXPECT_EQ(trace.records().size(), 8u);
-  trace.set_limit(3);
-  EXPECT_EQ(trace.records().size(), 3u);
-  EXPECT_EQ(trace.dropped(), 5u);
-  EXPECT_EQ(trace.records().front().when, 5);
-  trace.clear();
-  EXPECT_EQ(trace.dropped(), 5u);  // clear() keeps the drop count
 }
 
 }  // namespace

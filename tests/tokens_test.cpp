@@ -2,6 +2,8 @@
 // integration through the router for the three uncached-token policies.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "directory/fabric.hpp"
 #include "test_util.hpp"
 #include "tokens/cache.hpp"
@@ -134,6 +136,44 @@ TEST(TokenCache, UnlimitedTokenNeverExhausts) {
     EXPECT_EQ(cache.charge(token, 1'000'000, ledger),
               TokenCache::ChargeResult::kCharged);
   }
+}
+
+TEST(TokenCache, MixedStoreLookupChargeTotalsReconcile) {
+  // Half the tokens are stored up front, the rest mid-stream, with
+  // re-stores interleaved: the ledger's packet total equals the successful
+  // charges, and every lookup counts exactly one hit or miss.
+  TokenCache cache;
+  Ledger ledger;
+  constexpr int kTokens = 32;
+  constexpr int kRounds = 8;
+  constexpr int kOps = 2'000;
+  std::vector<wire::Bytes> tokens;
+  for (int i = 0; i < kTokens; ++i) {
+    tokens.emplace_back(kTokenWireSize, static_cast<std::uint8_t>(i + 1));
+  }
+  TokenBody body = sample_body();
+  body.byte_limit = 0;  // unlimited: every charge on a valid entry succeeds
+  for (int i = 0; i < kTokens / 2; ++i) {
+    cache.store(tokens[static_cast<std::size_t>(i)], body);
+  }
+  std::uint64_t charged = 0;
+  for (int t = 0; t < kRounds; ++t) {
+    for (int i = 0; i < kOps; ++i) {
+      const auto& token = tokens[static_cast<std::size_t>((t + i) % kTokens)];
+      if (t % 2 == 0) cache.store(token, body);
+      const auto entry = cache.lookup(token);
+      if (entry.has_value() && entry->valid &&
+          cache.charge(token, 10, ledger) ==
+              TokenCache::ChargeResult::kCharged) {
+        ++charged;
+      }
+    }
+  }
+  EXPECT_GT(charged, 0u);
+  EXPECT_EQ(ledger.usage(body.account).packets, charged);
+  EXPECT_EQ(ledger.usage(body.account).bytes, 10 * charged);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, std::uint64_t{kRounds} * kOps);
 }
 
 TEST(Ledger, AccumulatesPerAccount) {
