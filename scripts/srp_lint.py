@@ -18,7 +18,8 @@ linters cannot know about (DESIGN.md section 9):
                   must not allocate in their own bodies: no new/malloc,
                   no make_shared/make_unique, no growing-container
                   calls, no wire::Writer construction, no sim event
-                  scheduling (std::function capture allocation).
+                  scheduling (allocates when a capture outgrows the
+                  event queue's inline buffer, or while the queue grows).
                   Exemption: SRP_ALLOC_OK(expr) or a preceding
                   `// SRP_ALLOC_OK(reason)` comment, which blesses the
                   next statement.
@@ -403,7 +404,7 @@ ALLOC_PATTERNS: List[Tuple[re.Pattern, str]] = [
     (re.compile(r"\bwire::Writer\b|\bWriter\s+\w+\s*\("),
      "wire::Writer construction"),
     (re.compile(r"\bsim_?\w*\s*(?:\.|->)\s*(?:after|at)\s*\("),
-     "sim event scheduling (std::function capture)"),
+     "sim event scheduling (capture beyond the inline buffer, queue growth)"),
 ]
 
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <utility>
 

@@ -215,7 +215,8 @@ SRP_SIM_VISIBLE void ViperRouter::on_arrival(const net::Arrival& arrival) {
   // byte-identical to the per-packet one (all forward timing derives from
   // arrival.head/tail, never from "processing time" within the instant).
   if (ingress_.push(arrival)) {
-    // SRP_ALLOC_OK(one drain event per same-instant burst, not per packet)
+    // SRP_ALLOC_OK(one drain event per same-instant burst; capture stored
+    // inline, so allocation-free once the event queue is warm)
     sim_.after(0, [this] { drain_bursts(); });
   }
 }

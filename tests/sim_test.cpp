@@ -1,7 +1,9 @@
 // Unit tests for the discrete-event simulator substrate.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/contract.hpp"
@@ -57,6 +59,124 @@ TEST(EventQueue, CancelAfterRunIsNoop) {
 TEST(EventQueue, NextTimeOnEmptyIsInfinity) {
   EventQueue q;
   EXPECT_EQ(q.next_time(), kTimeInfinity);
+}
+
+TEST(EventQueue, StaleIdAfterSlotReuseIsNoop) {
+  EventQueue q;
+  const EventId old_id = q.schedule(10, [] {});
+  q.cancel(old_id);
+  // The freed slot is reused by the next event; the old id must not
+  // reach the new occupant.
+  bool ran = false;
+  const EventId new_id = q.schedule(20, [&] { ran = true; });
+  EXPECT_NE(new_id, old_id);
+  q.cancel(old_id);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 20);
+  // Same after the reused slot's event has run and the slot is reused again.
+  q.pop().second();
+  EXPECT_TRUE(ran);
+  const EventId third = q.schedule(30, [] {});
+  q.cancel(new_id);
+  q.cancel(old_id);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop().first, 30);
+  q.cancel(third);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CancelReleasesCaptureImmediately) {
+  EventQueue q;
+  auto token = std::make_shared<int>(7);
+  const EventId id = q.schedule(10, [token] {});
+  q.schedule(5, [] {});
+  EXPECT_EQ(token.use_count(), 2);
+  q.cancel(id);
+  // Released at cancel time, not when the stale key reaches the top.
+  EXPECT_EQ(token.use_count(), 1);
+  while (!q.empty()) q.pop().second();
+}
+
+TEST(EventQueue, AcceptsMoveOnlyCaptures) {
+  EventQueue q;
+  int seen = 0;
+  auto value = std::make_unique<int>(42);
+  q.schedule(1, [&seen, v = std::move(value)] { seen = *v; });
+  auto [when, cb] = q.pop();
+  cb();
+  EXPECT_EQ(when, 1);
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(EventQueue, IdsStrictlyIncreaseInScheduleOrder) {
+  EventQueue q;
+  EventId last = 0;
+  // Interleave cancels and pops so freed slots are reused out of order.
+  for (int i = 0; i < 300; ++i) {
+    const EventId id = q.schedule(static_cast<Time>(1000 - i % 7), [] {});
+    EXPECT_GT(id, last);
+    last = id;
+    if (i % 3 == 0) q.cancel(id);
+    if (i % 5 == 0 && !q.empty()) q.pop();
+  }
+}
+
+/// A capture whose destructor schedules a burst of events (growing the
+/// slot table) and cancels one of them.  Moved-from copies are inert.
+struct ReentrantGuard {
+  EventQueue* q;
+  int* destroyed;
+  explicit ReentrantGuard(EventQueue* queue, int* count)
+      : q(queue), destroyed(count) {}
+  ReentrantGuard(ReentrantGuard&& o) noexcept
+      : q(std::exchange(o.q, nullptr)), destroyed(o.destroyed) {}
+  ReentrantGuard(const ReentrantGuard&) = delete;
+  ReentrantGuard& operator=(const ReentrantGuard&) = delete;
+  ReentrantGuard& operator=(ReentrantGuard&&) = delete;
+  ~ReentrantGuard() {
+    if (q == nullptr) return;
+    ++*destroyed;
+    EventId first = 0;
+    for (int i = 0; i < 64; ++i) {
+      const EventId id = q->schedule(100 + i, [] {});
+      if (i == 0) first = id;
+    }
+    q->cancel(first);
+  }
+};
+
+TEST(EventQueue, CaptureDestructorMayScheduleAndCancel) {
+  EventQueue q;
+  int destroyed = 0;
+  int ran = 0;
+  const EventId id =
+      q.schedule(10, [g = ReentrantGuard(&q, &destroyed)] { (void)g; });
+  q.schedule(20, [g = ReentrantGuard(&q, &destroyed), &ran] {
+    (void)g;
+    ++ran;
+  });
+  EXPECT_EQ(destroyed, 0);
+  q.cancel(id);  // destroys the first guard: +64 events, one cancelled
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(q.size(), 1u + 63u);
+  {
+    auto [when, cb] = q.pop();
+    EXPECT_EQ(when, 20);
+    cb();
+  }  // destroys the second guard: +64 events, one cancelled
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(q.size(), 63u + 63u);
+  Time last = 0;
+  std::size_t popped = 0;
+  while (!q.empty()) {
+    const auto [when, cb] = q.pop();
+    EXPECT_GE(when, last);
+    last = when;
+    cb();
+    ++popped;
+  }
+  EXPECT_EQ(popped, 126u);
 }
 
 TEST(Simulator, ClockAdvancesToEventTimes) {
