@@ -111,36 +111,23 @@ SirpentState sirpent_state(int routers, int hosts_per_router, int flows) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched data-plane engine throughput (ROADMAP item 1 / DESIGN.md §11).
+// Forwarding engine throughput (DESIGN.md §11).
 //
-// In-simulation batching cannot reduce the number of *arrival* events —
-// packets arrive when the wire delivers them — so the honest measure of
-// the batched plane is engine throughput: wall-clock cost per packet of
-// the forwarding engine itself.  Mode A dispatches one simulator event
-// per packet into the classic per-packet path (decode with field copies,
-// derive(), Writer-based rewrite).  Mode B dispatches one event per
-// 64-packet burst into forward_burst (view decode, arena slabs, in-place
-// rewrite).  Both run with the output port administratively down — the
-// drop happens after the entire forward pipeline, and no link machinery
-// runs in either mode — and with tokens and observability off, so the
-// difference is purely the engine.
+// Wall-clock cost per packet of the router's forwarding engine alone:
+// arrivals are handed straight to on_arrival (view decode, token
+// admission, arena-slab rewrite, timing) with the output port
+// administratively down, so each forward ends at the port's drop and
+// schedules no event, and with tokens and observability off.
 
 /// One standalone router with a down egress, fed @p n ~256-byte packets;
-/// returns wall-clock ns per packet.  @p burst == 0: per-packet events
-/// into on_arrival.  @p burst > 0: one event per burst into
-/// forward_burst.
-double engine_ns_per_packet(std::size_t n, std::size_t burst) {
+/// returns wall-clock ns per packet.
+double engine_ns_per_packet(std::size_t n) {
   sim::Simulator sim;
   viper::ViperRouter router(sim, "r.engine", {});
   const net::LinkConfig link;
   router.add_port(link);         // port 1: ingress
   router.add_port(link);         // port 2: egress, down
   router.port(2).set_up(false);
-  if (burst > 0) {
-    viper::ViperRouter::BatchConfig batch;
-    batch.max_burst = burst;
-    router.set_batching(batch);
-  }
 
   core::SourceRoute route;
   core::HeaderSegment hop;
@@ -155,16 +142,6 @@ double engine_ns_per_packet(std::size_t n, std::size_t burst) {
   net::PacketFactory packets;
   net::PacketPtr packet =
       packets.make(viper::encode_packet(route, wire::Bytes(256, 0x5C)), 0);
-
-  // Pre-build every arrival, then load the event queue with the pending
-  // arrival schedule and time sim.run().  The timed region is activation
-  // + forwarding: the per-packet plane needs one scheduler entry and one
-  // dispatch per packet, the run-to-completion plane one per burst — a
-  // 64x smaller event queue for the same workload.  That amortization is
-  // the point of the batched design ("routers dequeue a vector of
-  // packets per sim event"), so it belongs inside the measurement; the
-  // engines' pure per-packet cost difference (view decode + arena slab
-  // vs field-copy decode + Writer + derive) rides on top of it.
   std::vector<net::Arrival> arrivals(n);
   for (std::size_t i = 0; i < n; ++i) {
     arrivals[i].packet = packet;
@@ -173,22 +150,9 @@ double engine_ns_per_packet(std::size_t n, std::size_t burst) {
     arrivals[i].tail = static_cast<sim::Time>(i + 1 + 2048);
     arrivals[i].rate_bps = link.rate_bps;
   }
-  if (burst == 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      sim.at(static_cast<sim::Time>(i + 1),
-             [&router, &arrivals, i] { router.on_arrival(arrivals[i]); });
-    }
-  } else {
-    for (std::size_t i = 0; i < n; i += burst) {
-      const std::size_t len = std::min(burst, n - i);
-      sim.at(static_cast<sim::Time>(i + 1), [&router, &arrivals, i, len] {
-        router.forward_burst({arrivals.data() + i, len});
-      });
-    }
-  }
 
   const auto t0 = std::chrono::steady_clock::now();
-  sim.run();
+  for (const net::Arrival& arrival : arrivals) router.on_arrival(arrival);
   const auto t1 = std::chrono::steady_clock::now();
   if (router.stats().forwarded != n) std::abort();  // bench self-check
   return static_cast<double>(
@@ -256,49 +220,30 @@ int main() {
   }
 
   {
-    // E-BD: batched zero-copy data plane vs the per-packet engine.
+    // E-BD: the forwarding engine's per-packet cost.
     constexpr std::size_t kWarmup = 20'000;
     constexpr std::size_t kPackets = 200'000;
-    constexpr std::size_t kBurst = 64;
-    (void)engine_ns_per_packet(kWarmup, 0);       // warm the allocator
-    (void)engine_ns_per_packet(kWarmup, kBurst);  // warm arena/scratch
+    (void)engine_ns_per_packet(kWarmup);  // warm the allocator and arena
     // Min over repetitions: scheduler preemption and frequency noise only
     // ever inflate a wall-clock measurement, so the minimum is the best
-    // estimate of the true engine cost for both modes.
-    const auto best_of = [](std::size_t burst_size) {
-      double best = engine_ns_per_packet(kPackets, burst_size);
-      for (int rep = 1; rep < 3; ++rep) {
-        best = std::min(best, engine_ns_per_packet(kPackets, burst_size));
-      }
-      return best;
-    };
-    const double per_packet = best_of(0);
-    const double batched = best_of(kBurst);
-    const double speedup = per_packet / batched;
+    // estimate of the true engine cost.
+    double engine = engine_ns_per_packet(kPackets);
+    for (int rep = 1; rep < 3; ++rep) {
+      engine = std::min(engine, engine_ns_per_packet(kPackets));
+    }
 
-    stats::Table table("E-BD: forwarding engine throughput, per-packet vs "
-                       "batched (256 B packets, one-hop route)");
+    stats::Table table("E-BD: forwarding engine throughput (256 B packets, "
+                       "one-hop route)");
     table.columns({"engine", "ns/packet", "packets/sec/router"});
     char buf[64];
-    std::snprintf(buf, sizeof buf, "%.1f", per_packet);
-    table.row({"per-packet (event per packet)", buf,
-               std::to_string(static_cast<std::uint64_t>(1e9 / per_packet))});
-    std::snprintf(buf, sizeof buf, "%.1f", batched);
-    table.row({"batched x" + std::to_string(kBurst) +
-                   " (arena + header views)",
-               buf,
-               std::to_string(static_cast<std::uint64_t>(1e9 / batched))});
-    std::snprintf(buf, sizeof buf, "%.2fx", speedup);
-    table.row({"speedup", buf, ""});
-    table.note("batched path: view-based segment decode, slab-recycled "
-               "derived packets, in-place trailer-reversal rewrite, batch "
-               "passes for tokens/flow/tracing; equivalence pinned by "
-               "batch_equivalence_test.");
+    std::snprintf(buf, sizeof buf, "%.1f", engine);
+    table.row({"on_arrival (header views + arena slabs)", buf,
+               std::to_string(static_cast<std::uint64_t>(1e9 / engine))});
+    table.note("view-based segment decode, slab-recycled derived packets, "
+               "in-place rewrite; outputs pinned by engine_golden_test.");
     table.print();
-    // Machine-readable gate line (scripts/check_batch_speedup.py).
-    std::printf("BATCH_GATE per_packet_ns=%.1f batched_ns=%.1f "
-                "speedup=%.2f\n",
-                per_packet, batched, speedup);
+    // Machine-readable line (scripts/bench_to_json.py).
+    std::printf("ENGINE_NS per_packet=%.1f\n", engine);
   }
   return 0;
 }

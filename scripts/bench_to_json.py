@@ -6,16 +6,16 @@ bench_fault_overhead, bench_flow_overhead, bench_int_overhead,
 bench_health_overhead) with
 --benchmark_format=json and folds every benchmark into a flat
 {name: ns_per_op} map using cpu_time; then runs bench_scalability and
-records its BATCH_GATE line (the batched data plane's engine cost and
-speedup) under scalability.*; then runs bench_header_overhead and records
+records its ENGINE_NS line (the forwarding engine's ns/packet) under
+scalability.batched_engine, the key earlier artifacts used for the same
+engine; then runs bench_header_overhead and records
 its INT_BYTES line (trailer bytes per hop with path telemetry off/on)
 under header.int_*.
 
 The output (default BENCH_PR10.json) is what CI uploads as the per-build
 performance artifact, so the schema is deliberately trivial: one flat
 object, names stable across runs, values in nanoseconds (except the
-dimensionless scalability.batch_speedup and the byte-valued
-header.int_* entries).
+byte-valued header.int_* entries).
 
 Usage: bench_to_json.py --bindir build/bench [--out BENCH_PR10.json]
 """
@@ -34,10 +34,8 @@ GBENCH_BINARIES = [
     "bench_health_overhead",
 ]
 
-# BATCH_GATE per_packet_ns=311.3 batched_ns=61.6 speedup=5.05
-BATCH_GATE = re.compile(
-    r"BATCH_GATE\s+per_packet_ns=([\d.]+)\s+batched_ns=([\d.]+)\s+"
-    r"speedup=([\d.]+)")
+# ENGINE_NS per_packet=61.6
+ENGINE_NS = re.compile(r"ENGINE_NS\s+per_packet=([\d.]+)")
 
 # INT_BYTES per_hop_off=4 per_hop_on=40 record=36
 INT_BYTES = re.compile(
@@ -56,13 +54,10 @@ def run_scalability(bindir, results):
     out = subprocess.run(
         [f"{bindir}/bench_scalability"],
         capture_output=True, text=True, check=True).stdout
-    match = BATCH_GATE.search(out)
+    match = ENGINE_NS.search(out)
     if match is None:
-        sys.exit("error: no BATCH_GATE line in bench_scalability output")
-    per_packet, batched, speedup = (float(g) for g in match.groups())
-    results["scalability.per_packet_engine"] = per_packet
-    results["scalability.batched_engine"] = batched
-    results["scalability.batch_speedup"] = speedup
+        sys.exit("error: no ENGINE_NS line in bench_scalability output")
+    results["scalability.batched_engine"] = float(match.group(1))
 
 
 def run_header_overhead(bindir, results):

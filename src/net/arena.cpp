@@ -19,7 +19,7 @@ void PacketArena::reset_slab(Packet& p) {
   p.parent.reset();
 }
 
-SRP_HOT_PATH PacketPtr PacketArena::acquire() {
+SRP_HOT_PATH PacketPtr PacketArena::acquire(std::size_t image_bytes) {
   ++stats_.acquired;
   // Rotating scan for a slab nobody else references.  Starting where the
   // last acquire left off makes the common case O(1): the slab recycled
@@ -31,9 +31,11 @@ SRP_HOT_PATH PacketPtr PacketArena::acquire() {
     PacketPtr& slot = pool_[i];
     if (slot.use_count() == 1) {
       // Same rotation as (cursor_ + step) % n, without the per-step
-      // integer division — acquire() is the batch plane's allocator.
+      // integer division — acquire() runs once per forward.
       cursor_ = i + 1 == n ? 0 : i + 1;
       reset_slab(*slot);
+      // Exact, not amortized growth: a no-op on a warm slab.
+      SRP_ALLOC_OK(slot->bytes.reserve(image_bytes));
       ++stats_.recycled;
       return slot;
     }
@@ -43,7 +45,8 @@ SRP_HOT_PATH PacketPtr PacketArena::acquire() {
   // under capacity; past capacity it is a one-off the caller fully owns.
   ++stats_.fresh;
   SRP_ALLOC_OK(PacketPtr fresh = std::make_shared<Packet>());
-  if (pool_.size() < capacity_) {
+  SRP_ALLOC_OK(fresh->bytes.reserve(image_bytes));
+  if (pool_.size() < kCapacity) {
     SRP_ALLOC_OK(pool_.push_back(fresh));
     cursor_ = 0;
   }

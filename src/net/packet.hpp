@@ -68,19 +68,26 @@ struct Packet : std::enable_shared_from_this<Packet> {
     return false;
   }
 
+  /// Makes this packet a rewrite of @p src at the next router: inherited
+  /// bookkeeping, hop count bumped, truncation chained through `parent`.
+  /// Leaves `bytes` and the per-holder fields alone.
+  void derive_from(std::shared_ptr<const Packet> src) {
+    id = src->id;
+    created = src->created;
+    flow = src->flow;
+    hops = src->hops + 1;
+    trace_id = src->trace_id;
+    route_digest = src->route_digest;
+    telemetry = src->telemetry;
+    parent = std::move(src);
+  }
+
   /// New packet derived from this one (rewritten at a router): fresh wire
-  /// image, inherited bookkeeping, hop count bumped, truncation chained.
+  /// image plus derive_from()'s bookkeeping.
   [[nodiscard]] PacketPtr derive(wire::Bytes new_bytes) const {
     auto p = std::make_shared<Packet>();
     p->bytes = std::move(new_bytes);
-    p->id = id;
-    p->created = created;
-    p->flow = flow;
-    p->hops = hops + 1;
-    p->trace_id = trace_id;
-    p->route_digest = route_digest;
-    p->telemetry = telemetry;
-    p->parent = shared_from_this();
+    p->derive_from(shared_from_this());
     return p;
   }
 };

@@ -194,10 +194,9 @@ void PathCollector::localize(const HopTelemetry& postcard) {
 void PathCollector::on_delivery(const DeliveredTelemetry& delivered,
                                 std::vector<HopTelemetry> hops,
                                 std::size_t decode_errors) {
-  // The in-place trailer reversal hands records newest-first, the
-  // reference decode oldest-first: hop order makes both canonical, so the
-  // collector state is byte-path independent (the batch-equivalence
-  // contract extends through reconstruction).
+  // Trailer position is not hop order (a decoder may hand records
+  // newest-first): sorting by hop makes the collector state independent
+  // of how the trailer was walked.
   std::sort(hops.begin(), hops.end(),
             [](const HopTelemetry& a, const HopTelemetry& b) {
               return a.hop < b.hop;

@@ -60,7 +60,7 @@ wire::Bytes decode_field(wire::Reader& r, std::uint8_t length_byte) {
 
 /// decode_field without the copy: same framing rules (big-endian u32
 /// length escape), returns a view over @p base.  Raw-pointer twin of the
-/// Reader-based decode_field so the burst classify pass pays one bounds
+/// Reader-based decode_field so the router's header decode pays one bounds
 /// check per field instead of one per byte.
 std::span<const std::uint8_t> decode_field_view_raw(
     const std::uint8_t* base, std::size_t avail, std::size_t& pos,
@@ -101,8 +101,12 @@ void append_u32_raw(wire::Bytes& out, std::uint32_t v) {
 }  // namespace
 
 std::size_t segment_wire_size(const core::HeaderSegment& segment) {
-  return 4 + field_wire_size(segment.token.size()) +
-         field_wire_size(segment.port_info.size());
+  return segment_wire_size(segment.token.size(), segment.port_info.size());
+}
+
+std::size_t segment_wire_size(std::size_t token_size,
+                              std::size_t port_info_size) {
+  return 4 + field_wire_size(token_size) + field_wire_size(port_info_size);
 }
 
 SRP_HOT_PATH void encode_segment(wire::Writer& w,
@@ -155,7 +159,7 @@ SRP_HOT_PATH SegmentView decode_segment_view(
   }
   // Raw-pointer parse: the fixed prefix is validated with one bounds
   // check and each field with one more, instead of the Reader's check
-  // per byte — this is the entry point of the burst classify pass.
+  // per byte — this is the router's per-hop header decode.
   const std::uint8_t* base = bytes.data() + offset;
   const std::size_t avail = bytes.size() - offset;
   if (avail < 4) {
@@ -193,11 +197,11 @@ SRP_HOT_PATH void append_segment_raw(wire::Bytes& out, std::uint8_t port,
     throw wire::CodecError("VIPER: field too large");
   }
   [[maybe_unused]] const std::size_t before = out.size();
-  // Every append below lands in a caller-owned buffer that the batched
-  // data plane keeps capacity-warm (arena slabs), so the blessed sites
+  // Every append below lands in a caller-owned buffer that the router
+  // keeps capacity-warm (arena slabs), so the blessed sites
   // amortize to zero allocations (pinned by tests/alloc_budget_test.cpp).
   // The fixed prefix goes in as one insert, not four push_backs: the
-  // per-byte growth checks are measurable on the burst path.
+  // per-byte growth checks are measurable on the forward path.
   const std::uint8_t prefix[4] = {
       port_info.size() > 254 ? static_cast<std::uint8_t>(kLengthEscape)
                              : static_cast<std::uint8_t>(port_info.size()),

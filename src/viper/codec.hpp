@@ -47,6 +47,11 @@ inline constexpr std::uint8_t kFlagTrm = 0x1;
 /// Encoded size of @p segment in octets.
 std::size_t segment_wire_size(const core::HeaderSegment& segment);
 
+/// Encoded size of a segment whose token and portInfo fields hold
+/// @p token_size and @p port_info_size octets.
+std::size_t segment_wire_size(std::size_t token_size,
+                              std::size_t port_info_size);
+
 /// Appends one encoded segment.
 void encode_segment(wire::Writer& w, const core::HeaderSegment& segment);
 
@@ -55,8 +60,7 @@ void encode_segment(wire::Writer& w, const core::HeaderSegment& segment);
 core::HeaderSegment decode_segment(wire::Reader& r);
 
 /// A decoded segment whose variable fields are *views* into the packet
-/// buffer instead of copies — the batched data plane's header
-/// representation.  Field semantics match decode_segment exactly
+/// buffer instead of copies — the router's header representation.  Field semantics match decode_segment exactly
 /// (including the VNT padding discard, which leaves `port_info` empty);
 /// the spans stay valid only while the underlying buffer does.
 struct SegmentView {
@@ -79,8 +83,8 @@ SegmentView decode_segment_view(std::span<const std::uint8_t> bytes,
 /// Appends the encoding of one segment to @p out by raw byte appends —
 /// byte-identical to encode_segment of the equivalent HeaderSegment, but
 /// writing into a caller-owned (typically arena-backed, capacity-warm)
-/// buffer instead of a Writer.  The batched codec must not move a single
-/// byte on the wire: golden_wire_test pins the agreement.
+/// buffer instead of a Writer.  It must not move a single byte on the
+/// wire: golden_wire_test pins the agreement.
 void append_segment_raw(wire::Bytes& out, std::uint8_t port,
                         const core::TypeOfService& tos,
                         const core::SegmentFlags& flags,

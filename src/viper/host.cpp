@@ -117,30 +117,11 @@ SRP_SIM_VISIBLE void ViperHost::on_arrival(const net::Arrival& arrival) {
   sim_.at(arrival.tail, [this, arrival] { process(arrival); });
 }
 
-bool ViperHost::decode_body_reversed(wire::Reader& r, DeliveredBody& body) {
-  // Probe on a copy so a bail-out leaves the caller's reader untouched for
-  // the reference path.
-  wire::Reader probe = r;
-  if (probe.remaining() < 2) return false;
-  const std::uint16_t data_len = probe.u16();
-  if (probe.remaining() < data_len) return false;  // truncated in flight
-  wire::Bytes data = probe.bytes(data_len);
-  const auto raw_trailer = probe.view(probe.remaining());
-  trailer_scratch_.assign(raw_trailer.begin(), raw_trailer.end());
-  if (!reverse_trailer_in_place(trailer_scratch_)) return false;
-  wire::Reader tr(trailer_scratch_);
-  body.trailer = decode_segments(tr);  // already in return order
-  body.data = std::move(data);
-  r = probe;
-  return true;
-}
-
 void ViperHost::process(const net::Arrival& arrival) {
   const net::Packet& packet = *arrival.packet;
   std::optional<net::EthernetHeader> link;
   core::HeaderSegment local_seg;
   DeliveredBody body;
-  bool reversed_in_place = false;
   try {
     wire::Reader r(packet.bytes);
     if (port_kind(arrival.in_port) == PortKind::kLan) {
@@ -151,8 +132,7 @@ void ViperHost::process(const net::Arrival& arrival) {
       ++stats_.misrouted;
       return;
     }
-    if (batched_) reversed_in_place = decode_body_reversed(r, body);
-    if (!reversed_in_place) body = decode_delivered_body(r);
+    body = decode_delivered_body(r);
   } catch (const wire::CodecError&) {
     ++stats_.dropped_malformed;
     // A marked packet too damaged to parse still carries its postcard:
@@ -173,17 +153,13 @@ void ViperHost::process(const net::Arrival& arrival) {
     return;
   }
 
-  // classify_trailer's TRM filter preserves relative order, so it commutes
-  // with the in-place reversal: filtering the reversed entries yields the
-  // reversal of the filtered forward-order entries.
   core::TrailerInfo trailer = core::classify_trailer(std::move(body.trailer));
   Delivery delivery;
   delivery.data = std::move(body.data);
   std::size_t telemetry_decode_errors = 0;
   if (!trailer.telemetry.empty()) {
     // Decode the in-band records.  Hop order — not trailer position —
-    // orders the path, so the reference (forward-order) and in-place
-    // reversed (newest-first) decodes reconstruct identically.
+    // orders the path.
     delivery.path.reserve(trailer.telemetry.size());
     for (const core::HeaderSegment& rec : trailer.telemetry) {
       const auto hop = obs::decode_hop_telemetry(rec.port_info);
@@ -198,20 +174,7 @@ void ViperHost::process(const net::Arrival& arrival) {
                 return a.hop < b.hop;
               });
   }
-  if (reversed_in_place) {
-    // Entries are already in return order: append the local segment and
-    // set RPF directly instead of re-reversing through build_return_route.
-    core::SourceRoute route;
-    route.segments = std::move(trailer.entries);
-    core::HeaderSegment local;
-    local.port = core::kLocalPort;
-    local.flags.vnt = true;
-    route.segments.push_back(std::move(local));
-    route.set_rpf();
-    delivery.return_route = std::move(route);
-  } else {
-    delivery.return_route = core::build_return_route(trailer.entries);
-  }
+  delivery.return_route = core::build_return_route(trailer.entries);
   // A reply along this route must terminate at the origin host's local
   // port, marked RPF so routers honour reverse-charged tokens.
   SIRPENT_ENSURES(!delivery.return_route.empty() &&

@@ -104,15 +104,6 @@ class ViperHost : public net::PortedNode {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Switches delivery to the batched-plane trailer pass: the raw trailer
-  /// bytes are copied once into a reused scratch buffer and reversed *in
-  /// place* (core::reverse_records_in_place), so the decoded segments come
-  /// out already in return order and build_return_route's re-reversal is
-  /// skipped.  Falls back to the reference path — byte-identically — when
-  /// the packet was truncated in flight or the trailer fails to parse.
-  void set_batching(bool enabled) { batched_ = enabled; }
-  [[nodiscard]] bool batching_enabled() const { return batched_; }
-
   /// Wires the host to an observability sink.  With a recorder present,
   /// every packet this host originates is traced: send() mints a trace
   /// context (trace id = packet id) that rides the packet's measurement
@@ -135,14 +126,6 @@ class ViperHost : public net::PortedNode {
  private:
   void process(const net::Arrival& arrival);
 
-  /// Batched-plane body parse: reads [DataLen][Data], then reverses the
-  /// remaining trailer bytes in place on trailer_scratch_ and decodes the
-  /// segments — already in return order.  Returns false, leaving @p r
-  /// untouched, when the data was truncated in flight or the trailer does
-  /// not parse as whole segments; the caller then takes the reference
-  /// decode_delivered_body path.
-  bool decode_body_reversed(wire::Reader& r, DeliveredBody& body);
-
   net::PacketFactory& packets_;
   std::vector<PortKind> port_kinds_;
   std::map<std::uint64_t, Handler> endpoints_;
@@ -160,12 +143,6 @@ class ViperHost : public net::PortedNode {
   // Path-telemetry wiring (set_path_telemetry); both null/empty = off.
   obs::PathCollector* collector_ = nullptr;
   std::optional<flow::TelemetryMarker> marker_;
-
-  // Batched-plane delivery state (set_batching).
-  bool batched_ = false;
-  /// Reused trailer image for the in-place reversal; capacity survives
-  /// across deliveries so the steady state re-allocates nothing.
-  wire::Bytes trailer_scratch_;
 };
 
 }  // namespace srp::viper

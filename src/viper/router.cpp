@@ -21,33 +21,15 @@ net::TxMeta meta_for(const core::TypeOfService& tos) {
 
 /// Port field of the packet's next segment, or 0 when the remainder does
 /// not start with a routable segment (e.g. it is the DataLen of a locally
-/// terminating packet).  Used only as the congestion flow key.
-///
-/// Reads the fixed 4-byte prefix and *skips* the variable fields instead
-/// of materializing them the way decode_segment would — this runs once
-/// per forward, and srp-lint's hot-path pass budget assumes it stays
-/// allocation-free.
+/// terminating packet).  Used only as the congestion flow key.  The view
+/// decode applies decode_segment's framing rules exactly, so "parses here"
+/// agrees with "parses downstream", and copies nothing.
 SRP_HOT_PATH std::uint8_t peek_next_port(const wire::Bytes& bytes,
                                          std::size_t offset) {
   if (offset >= bytes.size()) return 0;
-  wire::Reader r{std::span{bytes}.subspan(offset)};
   try {
-    const std::uint8_t info_len = r.u8();
-    const std::uint8_t token_len = r.u8();
-    const std::uint8_t port = r.u8();
-    const std::uint8_t flags = static_cast<std::uint8_t>(r.u8() >> 4);
-    // Mirror decode_field's framing exactly (length-escape rules and
-    // bounds) so "parses here" agrees with "parses downstream".
-    for (const std::uint8_t length_byte : {token_len, info_len}) {
-      std::size_t len = length_byte;
-      if (length_byte == 255) {
-        len = r.u32();
-        if (len <= 254) return 0;
-      }
-      r.skip(len);
-    }
-    const bool legal = (flags & kFlagTrm) == 0;
-    return legal ? port : 0;
+    const SegmentView next = decode_segment_view(bytes, offset);
+    return next.is_legal() ? next.port : 0;
   } catch (const wire::CodecError&) {
     return 0;
   }
@@ -102,15 +84,12 @@ void ViperRouter::inject_from_tunnel(std::uint8_t tunnel_port_id,
   auto packet = std::make_shared<net::Packet>();
   packet->bytes = std::move(viper_bytes);
   packet->created = sim_.now();
-  net::Arrival arrival;
-  arrival.packet = packet;
-  arrival.in_port = 0;  // not a physical port; the trailer entry names the
-                        // tunnel port instead (see make_return_entry)
-  arrival.head = sim_.now();
-  arrival.tail = sim_.now();
-  arrival.rate_bps = 0.0;  // forces store-and-forward timing
-  handle_packet(arrival, packet->bytes, /*synthetic_tree_copy=*/true,
-                std::make_pair(tunnel_port_id, std::move(reverse_info)));
+  // In-port 0: not a physical port, the trailer entry names the tunnel
+  // port instead.  Rate 0 forces store-and-forward timing.
+  const net::Arrival arrival{packet, 0, sim_.now(), sim_.now(), 0.0};
+  // The return hop re-enters the tunnel toward the far gateway learned
+  // from the encapsulation header.
+  route(arrival, packet->bytes, 0, ReturnHop{tunnel_port_id, reverse_info});
 }
 
 void ViperRouter::enable_delay_lines(sim::Time latency,
@@ -176,472 +155,186 @@ void ViperRouter::count_token_outcome(obs::TokenOutcome outcome) {
   if (c != nullptr) c->add();
 }
 
-SRP_HOT_PATH void ViperRouter::record_flow(
-    const net::Arrival& arrival, const ParsedFront& front, int out_port,
-    const wire::Bytes& bytes, bool cut_through, std::uint32_t account,
-    sim::Time now) {
-  obs::FlowSample sample;
-  sample.route_digest = arrival.packet->route_digest;
-  sample.packet_id = arrival.packet->id;
-  sample.trace_id = arrival.packet->trace_id;
-  sample.account = account;
-  sample.tos_class = front.segment.tos.priority;
-  sample.cut_through = cut_through;
-  sample.in_port = static_cast<std::uint16_t>(arrival.in_port);
-  sample.out_port = static_cast<std::uint16_t>(out_port);
-  // The admitted byte count — the same value admit_token charged, which
-  // is what makes per-account roll-ups reconcile with the ledger.
-  sample.bytes = static_cast<std::uint32_t>(bytes.size());
-  sample.now = now;
-  // Link header + first segment, exactly as received: the excerpt source
-  // for sampled-packet capture.
-  sample.header =
-      std::span(bytes).first(std::min(front.consumed, bytes.size()));
-  obs_flow_->on_forward(sample);
-}
-
 SRP_SIM_VISIBLE void ViperRouter::on_arrival(const net::Arrival& arrival) {
   ++stats_.received;
   arrival.packet->last_in_port = arrival.in_port;
-  if (!batching_) {
-    handle_packet(arrival, arrival.packet->bytes,
-                  /*synthetic_tree_copy=*/false);
-    return;
-  }
-  // Batched plane: coalesce every arrival of this instant and drain once.
-  // The drain event is scheduled at +0, so same-time FIFO ordering places
-  // it after all arrivals already delivered at this instant — the batch
-  // boundary IS the event boundary, which is what keeps the batched sim
-  // byte-identical to the per-packet one (all forward timing derives from
-  // arrival.head/tail, never from "processing time" within the instant).
-  if (ingress_.push(arrival)) {
-    // SRP_ALLOC_OK(one drain event per same-instant burst; capture stored
-    // inline, so allocation-free once the event queue is warm)
-    sim_.after(0, [this] { drain_bursts(); });
-  }
-}
-
-void ViperRouter::set_batching(BatchConfig config) {
-  if (config.max_burst == 0) config.max_burst = 1;
-  batch_config_ = config;
-  arena_ = net::PacketArena(batch_config_.arena_capacity);
-  batching_ = true;
-}
-
-SRP_SIM_VISIBLE void ViperRouter::drain_bursts() {
-  while (!ingress_.empty()) {
-    forward_burst(ingress_.take(batch_config_.max_burst));
-  }
-  ingress_.reset();  // drop held packet references, re-arm scheduling
-}
-
-SRP_HOT_PATH void ViperRouter::forward_burst(
-    std::span<const net::Arrival> burst) {
-  // Pass 1: classify.  Pure — no counters move, nothing is charged — so a
-  // slow item replays through handle_packet() from scratch with no
-  // double-count and a fast item is guaranteed to reach admission.
-  burst_slots_.clear();
-  for (const net::Arrival& arrival : burst) {
-    // capacity-warm scratch; classify writes the view in place
-    SRP_ALLOC_OK(BurstSlot& slot = burst_slots_.emplace_back());
-    slot.fast = classify_fast(arrival, slot.view);
-  }
-
-  // Pass 2: per-item, in strict arrival order.  Slow items flush the
-  // accumulated observability first so the flow sampler draws in exactly
-  // the per-packet order.
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    const net::Arrival& arrival = burst[i];
-    if (burst_slots_[i].fast) {
-      forward_fast(arrival, burst_slots_[i].view);
-    } else {
-      flush_burst_obs();
-      handle_packet(arrival, arrival.packet->bytes,
-                    /*synthetic_tree_copy=*/false);
-    }
-  }
-  flush_burst_obs();
-}
-
-SRP_HOT_PATH bool ViperRouter::classify_fast(const net::Arrival& arrival,
-                                             SegmentView& view) const {
-  if (port_kind(arrival.in_port) == PortKind::kLan) return false;
-  try {
-    view = decode_segment_view(arrival.packet->bytes, 0);
-  } catch (const wire::CodecError&) {
-    return false;  // handle_packet counts the malformed drop
-  }
-  if (!view.is_legal()) return false;
-  if (view.port == core::kLocalPort) return false;
-  if (core::is_tree_info(view.port_info)) return false;
-  if (!tunnel_ports_.empty() && tunnel_ports_.contains(view.port)) {
-    return false;
-  }
-  if (!logical_ports_.empty() && logical_ports_.contains(view.port)) {
-    return false;
-  }
-  if (view.port > port_count()) return false;  // slow path counts the drop
-  if (port_kind(view.port) == PortKind::kLan) return false;
-  // kBlocking admission defers the packet with a copied image; keep that
-  // cold machinery on the reference path.
-  if (config_.require_tokens && authority_ != nullptr &&
-      config_.uncached_policy == tokens::UncachedPolicy::kBlocking) {
-    return false;
-  }
-  return true;
-}
-
-SRP_HOT_PATH void ViperRouter::forward_fast(const net::Arrival& arrival,
-                                            const SegmentView& v) {
-  const int physical_port = v.port;  // classified: a plain physical port
-  net::TxPort& out = port(physical_port);
   const wire::Bytes& bytes = arrival.packet->bytes;
-
-  const auto decision = admit_token_ref(
-      TokenRef{v.token, v.port, v.tos.priority, v.flags.rpf}, physical_port,
-      bytes.size());
-  if (!decision.has_value()) return;
-  // kBlocking was classified slow, so admission never defers here.
-  SIRPENT_INVARIANT(decision->extra_delay == 0);
-
-  // The zero-copy rewrite: remainder + return entry appended straight into
-  // a recycled arena slab whose capacity is warm — no Writer, no derive
-  // allocation, header fields as views throughout.
-  net::PacketPtr derived = arena_.acquire();
-  wire::Bytes& out_bytes = derived->bytes;
-  SRP_ALLOC_OK(out_bytes.insert(
-      out_bytes.end(),
-      bytes.begin() + static_cast<std::ptrdiff_t>(v.wire_size), bytes.end()));
-  {
-    // Byte-identical twin of make_return_entry() + encode_segment() for a
-    // point-to-point, non-tunnel arrival: return port = arrival port, DIB
-    // mirrored from the type of service, VNT set (no link header), token
-    // echoed when reversible.
-    core::SegmentFlags return_flags;
-    return_flags.vnt = true;
-    return_flags.dib = v.tos.drop_if_blocked;
-    append_segment_raw(out_bytes, static_cast<std::uint8_t>(arrival.in_port),
-                       v.tos, return_flags,
-                       decision->reversible
-                           ? v.token
-                           : std::span<const std::uint8_t>{},
-                       {});
+  const auto in_port = static_cast<std::uint8_t>(arrival.in_port);
+  if (port_kind(arrival.in_port) != PortKind::kLan) {
+    route(arrival, bytes, 0, ReturnHop{in_port, {}});
+    return;
   }
-
-  const ForwardTiming timing =
-      forward_timing(arrival, v.wire_size, physical_port);
-  if (telemetry_enabled_ && arrival.packet->telemetry) {
-    // Same stamp, same placement as forward(): after the return entry,
-    // before the MTU cut — so the cut may slice through the newest record
-    // on either path, byte-identically.
-    stamp_telemetry(out_bytes, arrival, physical_port, &out, timing,
-                    decision->outcome);
+  // LAN ingress: the link header leads the packet.  "With an Ethernet
+  // header, the destination and source addresses are swapped" so the
+  // stored header is a correct return hop: DstMAC(6) | SrcMAC(6) |
+  // EtherType(2) becomes SrcMAC | DstMAC | EtherType.
+  constexpr std::size_t kLink = net::EthernetHeader::kWireSize;
+  if (bytes.size() < kLink) {
+    ++stats_.dropped_malformed;
+    return;
   }
-
-  bool truncated = false;
-  if (out_bytes.size() > out.config().mtu_bytes) {
-    // Same cut as forward(): resize to MTU minus the 4-byte truncation
-    // mark, then append the mark (an illegal segment, §2).
-    static constexpr std::size_t kMarkWire = 4;
-    SIRPENT_INVARIANT(out.config().mtu_bytes >= kMarkWire);
-    SRP_ALLOC_OK(out_bytes.resize(out.config().mtu_bytes - kMarkWire));
-    const core::HeaderSegment mark = core::HeaderSegment::truncation_marker();
-    append_segment_raw(out_bytes, mark.port, mark.tos, mark.flags, {}, {});
-    truncated = true;
-    ++stats_.truncated_forwards;
-    SIRPENT_ENSURES(out_bytes.size() == out.config().mtu_bytes);
-  }
-
-  // Packet::derive()'s bookkeeping, applied to the slab.
-  const net::Packet& src = *arrival.packet;
-  derived->id = src.id;
-  derived->created = src.created;
-  derived->flow = src.flow;
-  derived->hops = src.hops + 1;
-  derived->trace_id = src.trace_id;
-  derived->route_digest = src.route_digest;
-  derived->parent = arrival.packet;
-  derived->truncated = truncated;
-  derived->last_in_port = arrival.in_port;
-  derived->feedforward = src.feedforward;
-  derived->telemetry = src.telemetry;
-
-  const net::TxMeta meta = meta_for(v.tos);
-
-  ++stats_.forwarded;
-  if (obs_hop_latency_ != nullptr) {
-    obs_hop_latency_->record(
-        static_cast<std::uint64_t>(timing.earliest - arrival.head));
-  }
-  if (obs_flow_ != nullptr) {
-    obs::FlowSample sample;
-    sample.route_digest = src.route_digest;
-    sample.packet_id = src.id;
-    sample.trace_id = src.trace_id;
-    sample.account = decision->account;
-    sample.tos_class = v.tos.priority;
-    sample.cut_through = timing.cut_through;
-    sample.in_port = static_cast<std::uint16_t>(arrival.in_port);
-    sample.out_port = static_cast<std::uint16_t>(physical_port);
-    sample.bytes = static_cast<std::uint32_t>(bytes.size());
-    sample.now = timing.earliest;
-    sample.header =
-        std::span(bytes).first(std::min(v.wire_size, bytes.size()));
-    SRP_ALLOC_OK(burst_samples_.push_back(sample));  // flushed this drain
-  }
-  if (obs_recorder_ != nullptr && derived->trace_id != 0) {
-    obs::SpanRecord span;
-    span.trace_id = derived->trace_id;
-    span.hop = src.hops;
-    span.kind = obs::SpanKind::kHop;
-    span.token = decision->outcome;
-    span.cut_through = timing.cut_through;
-    span.in_port = static_cast<std::uint16_t>(arrival.in_port);
-    span.out_port = static_cast<std::uint16_t>(physical_port);
-    span.start = arrival.head;
-    span.decision = timing.decision;
-    span.end = timing.earliest;
-    span.set_component(name());
-    SRP_ALLOC_OK(burst_spans_.push_back(span));  // flushed this drain
-  }
-  if (shaper_) {
-    // The shaper lookahead is the only consumer of the next-hop peek, so
-    // the second segment decode is skipped entirely when no congestion
-    // layer is attached.
-    const std::uint8_t next_port = peek_next_port(bytes, v.wire_size);
-    if (shaper_(physical_port, next_port, derived, meta, timing.earliest)) {
-      return;  // congestion layer took custody
-    }
-  }
-  out.enqueue(std::move(derived), meta, timing.earliest);
+  std::array<std::uint8_t, kLink> back;
+  std::copy_n(bytes.begin() + 6, 6, back.begin());
+  std::copy_n(bytes.begin(), 6, back.begin() + 6);
+  std::copy_n(bytes.begin() + 12, 2, back.begin() + 12);
+  route(arrival, bytes, kLink, ReturnHop{in_port, back});
 }
 
-SRP_HOT_PATH void ViperRouter::flush_burst_obs() {
-  if (!burst_samples_.empty()) {
-    for (const obs::FlowSample& sample : burst_samples_) {
-      obs_flow_->on_forward(sample);
-    }
-    burst_samples_.clear();
-  }
-  if (!burst_spans_.empty()) {
-    for (const obs::SpanRecord& span : burst_spans_) {
-      obs_recorder_->record(span);
-    }
-    burst_spans_.clear();
-  }
-}
-
-SRP_HOT_PATH void ViperRouter::handle_packet(
-    const net::Arrival& arrival, const wire::Bytes& bytes,
-    bool synthetic_tree_copy,
-    std::optional<std::pair<std::uint8_t, wire::Bytes>> tunnel_return) {
-  ParsedFront front;
-  front.tunnel_return = std::move(tunnel_return);
+SRP_HOT_PATH void ViperRouter::route(const net::Arrival& arrival,
+                                     const wire::Bytes& bytes,
+                                     std::size_t offset,
+                                     const ReturnHop& back) {
+  SegmentView seg;
   try {
-    wire::Reader r(bytes);
-    if (!synthetic_tree_copy &&
-        port_kind(arrival.in_port) == PortKind::kLan) {
-      front.link = net::EthernetHeader::decode(r);
-    }
-    front.segment = decode_segment(r);
-    front.consumed = r.position();
+    seg = decode_segment_view(bytes, offset);
   } catch (const wire::CodecError&) {
     ++stats_.dropped_malformed;
     return;
   }
-  // Everything downstream slices `bytes` at `consumed`; the reader position
-  // is by construction inside the packet.
-  SIRPENT_INVARIANT(front.consumed <= bytes.size());
-  if (!front.segment.is_legal()) {
+  if (!seg.is_legal()) {
     ++stats_.dropped_malformed;
     return;
   }
+  const Front front{bytes, seg, offset, back};
+  // Everything downstream slices the image at `consumed`; the decode
+  // bounds-checked it.
+  SIRPENT_INVARIANT(front.consumed() <= bytes.size());
 
-  if (front.segment.port == core::kLocalPort) {
-    deliver_control(arrival, front, bytes);
+  if (seg.port == core::kLocalPort) {
+    deliver_control(arrival, front);
     return;
   }
-
   // Blazenet-style tree multicast: the continuation lives in the branches.
-  if (core::is_tree_info(front.segment.port_info)) {
-    branch_tree(arrival, front, bytes);
+  if (core::is_tree_info(seg.port_info)) {
+    branch_tree(arrival, front);
     return;
   }
-
-  const auto tunnel = tunnel_ports_.find(front.segment.port);
+  const auto tunnel = tunnel_ports_.find(seg.port);
   if (tunnel != tunnel_ports_.end()) {
-    forward_into_tunnel(arrival, front, tunnel->second, bytes);
+    forward_into_tunnel(arrival, front, tunnel->second);
     return;
   }
-
-  const auto logical = logical_ports_.find(front.segment.port);
+  const auto logical = logical_ports_.find(seg.port);
   if (logical != logical_ports_.end()) {
-    const LogicalPort& lp = logical->second;
-    if (lp.members.empty()) {
-      ++stats_.dropped_no_port;
-      return;
-    }
-    if (lp.kind == LogicalPort::Kind::kFanout) {
-      // Multicast mechanism 1: reserved multi-port value.
-      for (std::size_t i = 0; i < lp.members.size(); ++i) {
-        if (i > 0) ++stats_.fanout_copies;
-        forward(arrival, front, lp.members[i], bytes);
-      }
-      return;
-    }
-    // Replicated trunk: "A packet arriving for this logical link would be
-    // routed to whichever of the channels was free" (§2.2).
-    int best = lp.members.front();
-    std::size_t best_bytes = std::numeric_limits<std::size_t>::max();
-    for (int member : lp.members) {
-      const net::TxPort& p = port(member);
-      if (!p.is_up()) continue;
-      if (!p.busy() && p.queue_packets() == 0) {
-        best = member;
-        best_bytes = 0;
-        break;
-      }
-      if (p.queue_bytes() < best_bytes) {
-        best = member;
-        best_bytes = p.queue_bytes();
-      }
-    }
-    forward(arrival, front, best, bytes);
+    forward_logical(arrival, front, logical->second);
     return;
   }
-
-  if (front.segment.port > port_count()) {
+  if (seg.port > port_count()) {
     ++stats_.dropped_no_port;
     return;
   }
-  forward(arrival, front, front.segment.port, bytes);
+  forward(arrival, front, seg.port);
+}
+
+void ViperRouter::forward_logical(const net::Arrival& arrival,
+                                  const Front& front, const LogicalPort& lp) {
+  if (lp.members.empty()) {
+    ++stats_.dropped_no_port;
+    return;
+  }
+  if (lp.kind == LogicalPort::Kind::kFanout) {
+    // Multicast mechanism 1: reserved multi-port value.
+    for (std::size_t i = 0; i < lp.members.size(); ++i) {
+      if (i > 0) ++stats_.fanout_copies;
+      forward(arrival, front, lp.members[i]);
+    }
+    return;
+  }
+  // Replicated trunk: "A packet arriving for this logical link would be
+  // routed to whichever of the channels was free" (§2.2).
+  int best = lp.members.front();
+  std::size_t best_bytes = std::numeric_limits<std::size_t>::max();
+  for (int member : lp.members) {
+    const net::TxPort& p = port(member);
+    if (!p.is_up()) continue;
+    if (!p.busy() && p.queue_packets() == 0) {
+      best = member;
+      break;
+    }
+    if (p.queue_bytes() < best_bytes) {
+      best = member;
+      best_bytes = p.queue_bytes();
+    }
+  }
+  forward(arrival, front, best);
 }
 
 void ViperRouter::branch_tree(const net::Arrival& arrival,
-                              const ParsedFront& front,
-                              const wire::Bytes& bytes) {
+                              const Front& front) {
   std::vector<wire::Bytes> branches;
   try {
-    branches = core::decode_tree_info(front.segment.port_info);
+    branches = core::decode_tree_info(front.seg.port_info);
   } catch (const wire::CodecError&) {
     ++stats_.dropped_malformed;
     return;
   }
   const std::span<const std::uint8_t> rest =
-      std::span(bytes).subspan(front.consumed);
+      std::span(front.bytes).subspan(front.consumed());
   for (const auto& blob : branches) {
     ++stats_.tree_copies;
-    wire::Bytes copy;
-    copy.reserve(blob.size() + rest.size());
-    copy.insert(copy.end(), blob.begin(), blob.end());
+    wire::Bytes copy = blob;
     copy.insert(copy.end(), rest.begin(), rest.end());
-    handle_packet(arrival, copy, /*synthetic_tree_copy=*/true);
+    // A branch carries no link header, and its return entry names the
+    // arrival port alone.
+    route(arrival, copy, 0,
+          ReturnHop{static_cast<std::uint8_t>(arrival.in_port), {}});
   }
 }
 
 void ViperRouter::deliver_control(const net::Arrival& arrival,
-                                  const ParsedFront& front,
-                                  const wire::Bytes& bytes) {
+                                  const Front& front) {
   if (!control_handler_) {
     ++stats_.dropped_no_port;
     return;
   }
   try {
-    wire::Reader r{std::span{bytes}.subspan(front.consumed)};
+    wire::Reader r{std::span{front.bytes}.subspan(front.offset)};
+    const core::HeaderSegment segment = decode_segment(r);
     DeliveredBody body = decode_delivered_body(r);
     ++stats_.delivered_control;
-    control_handler_(front.segment, std::move(body.data), arrival.in_port);
+    control_handler_(segment, std::move(body.data), arrival.in_port);
   } catch (const wire::CodecError&) {
     ++stats_.dropped_malformed;
   }
 }
 
-core::HeaderSegment ViperRouter::make_return_entry(
-    const net::Arrival& arrival, const ParsedFront& front,
-    bool token_reversible) const {
-  core::HeaderSegment entry;
-  entry.port = static_cast<std::uint8_t>(arrival.in_port);
-  entry.tos = front.segment.tos;
-  entry.flags.dib = front.segment.tos.drop_if_blocked;
-  if (token_reversible) entry.token = front.segment.token;
-  if (front.tunnel_return.has_value()) {
-    // Tunnel ingress: the return hop re-enters the tunnel toward the far
-    // gateway learned from the encapsulation header.
-    entry.port = front.tunnel_return->first;
-    entry.port_info = front.tunnel_return->second;
-    entry.flags.vnt = entry.port_info.empty();
-    return entry;
-  }
-  if (front.link.has_value()) {
-    // "with an Ethernet header, the destination and source addresses are
-    // swapped" so the stored header is a correct return hop.
-    wire::Writer w(net::EthernetHeader::kWireSize);
-    front.link->reversed().encode(w);
-    entry.port_info = std::move(w).take();
-    entry.flags.vnt = false;
-  } else {
-    entry.flags.vnt = true;
-  }
-  return entry;
-}
-
 SRP_HOT_PATH std::optional<ViperRouter::TokenDecision>
-ViperRouter::admit_token(const core::HeaderSegment& seg, int physical_port,
-                         std::size_t packet_bytes) {
-  return admit_token_ref(
-      TokenRef{seg.token, seg.port, seg.tos.priority, seg.flags.rpf},
-      physical_port, packet_bytes);
-}
-
-SRP_HOT_PATH std::optional<ViperRouter::TokenDecision>
-ViperRouter::admit_token_ref(const TokenRef& ref, int physical_port,
-                             std::size_t packet_bytes) {
+ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
   if (!config_.require_tokens || authority_ == nullptr) {
     // Enforcement disabled: echo any supplied token into the trailer so
     // the receiver can reuse it on the return route.
-    return TokenDecision{0, !ref.token.empty()};
+    return TokenDecision{0, !seg.token.empty()};
   }
-  (void)physical_port;
-  if (ref.token.empty()) {
-    ++stats_.dropped_unauthorized;
+  const auto reject = [this](std::uint64_t& drops) {
+    ++drops;
     count_token_outcome(obs::TokenOutcome::kRejected);
-    return std::nullopt;
-  }
+    return std::optional<TokenDecision>{};
+  };
+  if (seg.token.empty()) return reject(stats_.dropped_unauthorized);
 
   const std::optional<tokens::TokenCache::Entry> entry =
-      token_cache_.lookup(ref.token);
+      token_cache_.lookup(seg.token);
   if (entry.has_value()) {
-    if (entry->flagged) {
-      ++stats_.dropped_unauthorized;
-      count_token_outcome(obs::TokenOutcome::kRejected);
-      return std::nullopt;
-    }
+    if (entry->flagged) return reject(stats_.dropped_unauthorized);
     // Cached, valid: real-time checks against the cached body.  A token
     // minted for the forward port also authorizes the *return* hop when
     // reverse charging is granted and the packet is marked RPF ("the
     // token can be used for the return route as well", §2.2).
-    const bool port_ok =
-        entry->body.port == ref.port ||
-        (ref.rpf && entry->body.reverse_ok);
-    if (!port_ok || core::priority_rank(ref.priority) >
+    const bool port_ok = entry->body.port == seg.port ||
+                         (seg.flags.rpf && entry->body.reverse_ok);
+    if (!port_ok || core::priority_rank(seg.tos.priority) >
                         core::priority_rank(entry->body.max_priority)) {
-      ++stats_.dropped_unauthorized;
-      count_token_outcome(obs::TokenOutcome::kRejected);
-      return std::nullopt;
+      return reject(stats_.dropped_unauthorized);
     }
     if (entry->body.expiry_sec != 0 &&
         sim_.now() > static_cast<sim::Time>(entry->body.expiry_sec) *
                          sim::kSecond) {
-      ++stats_.dropped_expired_token;
-      count_token_outcome(obs::TokenOutcome::kRejected);
-      return std::nullopt;
+      return reject(stats_.dropped_expired_token);
     }
     SIRPENT_INVARIANT(ledger_ != nullptr);
-    if (token_cache_.charge(ref.token, packet_bytes, *ledger_) !=
+    if (token_cache_.charge(seg.token, packet_bytes, *ledger_) !=
         tokens::TokenCache::ChargeResult::kCharged) {
-      ++stats_.dropped_token_limit;
-      count_token_outcome(obs::TokenOutcome::kRejected);
-      return std::nullopt;
+      return reject(stats_.dropped_token_limit);
     }
     if (obs_flow_ != nullptr) {
       obs_flow_->on_charge(entry->body.account, packet_bytes);
@@ -652,14 +345,14 @@ ViperRouter::admit_token_ref(const TokenRef& ref, int physical_port,
   }
 
   // Miss: start the (slow) verification exactly once per token value.
-  const std::uint64_t key = tokens::TokenCache::key_of(ref.token);
+  const std::uint64_t key = tokens::TokenCache::key_of(seg.token);
   if (!pending_verifies_.contains(key)) {
     // Verification slow path: one-time bookkeeping per distinct token
     // value, not per packet — the blessed allocations below amortize to
     // zero in steady state (pinned by tests/alloc_budget_test.cpp).
     SRP_ALLOC_OK(pending_verifies_.insert(key));
     SRP_ALLOC_OK(
-        wire::Bytes token_copy(ref.token.begin(), ref.token.end()));
+        wire::Bytes token_copy(seg.token.begin(), seg.token.end()));
     const std::uint64_t first_packet_bytes = packet_bytes;
     // SRP_ALLOC_OK(verification completion event, once per token value)
     sim_.after(config_.verify_delay, [this, token_copy = std::move(token_copy),
@@ -774,178 +467,209 @@ SRP_HOT_PATH ViperRouter::ForwardTiming ViperRouter::forward_timing(
   return timing;
 }
 
+std::size_t ViperRouter::rewrite_size(const Front& front, bool reversible,
+                                      bool stamp) {
+  return front.bytes.size() - front.consumed() +
+         segment_wire_size(reversible ? front.seg.token.size() : 0,
+                           front.back.info.size()) +
+         (stamp ? segment_wire_size(0, obs::kHopTelemetryWire) : 0);
+}
+
+SRP_HOT_PATH void ViperRouter::append_return_entry(wire::Bytes& out,
+                                                   const Front& front,
+                                                   bool reversible) {
+  // The return entry mirrors the type of service, carries DIB from it, and
+  // sets VNT exactly when there is no return portInfo.
+  core::SegmentFlags flags;
+  flags.vnt = front.back.info.empty();
+  flags.dib = front.seg.tos.drop_if_blocked;
+  append_segment_raw(out, front.back.port, front.seg.tos, flags,
+                     reversible ? front.seg.token
+                                : std::span<const std::uint8_t>{},
+                     front.back.info);
+}
+
 SRP_HOT_PATH void ViperRouter::forward(const net::Arrival& arrival,
-                                       const ParsedFront& front,
-                                       int physical_port,
-                                       const wire::Bytes& bytes,
+                                       const Front& front, int physical_port,
                                        bool was_blocked) {
   if (physical_port <= 0 || physical_port > port_count()) {
     ++stats_.dropped_no_port;
     return;
   }
   net::TxPort& out = port(physical_port);
-
-  const auto decision =
-      admit_token(front.segment, physical_port, bytes.size());
-  if (!decision.has_value()) return;
-
-  if (decision->extra_delay > 0 &&
-      config_.uncached_policy == tokens::UncachedPolicy::kBlocking) {
-    // Blocking admission: retry once the verification has landed in the
-    // cache (the packet is fully buffered by then).  Copying the packet
-    // image for the deferral is the price of the kBlocking policy, not of
-    // the steady-state forward path.
-    net::Arrival deferred = arrival;
-    SRP_ALLOC_OK(wire::Bytes bytes_copy = bytes);
-    SRP_ALLOC_OK(ParsedFront front_copy = front);
-    // SRP_ALLOC_OK(deferred-retry event, kBlocking policy only)
-    sim_.after(decision->extra_delay,
-               [this, deferred, front_copy = std::move(front_copy),
-                physical_port, bytes_copy = std::move(bytes_copy)] {
-                 forward(deferred, front_copy, physical_port, bytes_copy,
-                         /*was_blocked=*/true);
-               });
+  const SegmentView& seg = front.seg;
+  const wire::Bytes& bytes = front.bytes;
+  // On a LAN egress the segment's portInfo is the link header for the next
+  // network; without a whole one the packet cannot leave, so it is dropped
+  // before admission charges anything for it.
+  const bool lan_out = port_kind(physical_port) == PortKind::kLan;
+  if (lan_out && seg.port_info.size() < net::EthernetHeader::kWireSize) {
+    ++stats_.dropped_malformed;
     return;
   }
 
-  // The one per-forward buffer: the rewritten packet image (remainder +
-  // this hop's return entry).  The batched zero-copy refactor (ROADMAP
-  // item 1) replaces this with an arena slab; until then it is the
-  // documented baseline cost.
-  SRP_ALLOC_OK(wire::Writer w(bytes.size() + 32));
-  if (port_kind(physical_port) == PortKind::kLan) {
-    if (front.segment.port_info.size() < net::EthernetHeader::kWireSize) {
-      ++stats_.dropped_malformed;
-      return;
-    }
-    // The segment's portInfo is the link header for the next network.
-    w.bytes(front.segment.port_info);
+  const auto decision = admit_token(seg, bytes.size());
+  if (!decision.has_value()) return;
+  if (decision->extra_delay > 0) {
+    defer_blocked(arrival, front, physical_port, decision->extra_delay);
+    return;
   }
-  w.bytes(std::span(bytes).subspan(front.consumed));
-  encode_segment(w, make_return_entry(arrival, front, decision->reversible));
-  wire::Bytes out_bytes = std::move(w).take();
+  const obs::TokenOutcome outcome =
+      was_blocked ? obs::TokenOutcome::kMissBlocking : decision->outcome;
 
-  // forward_timing is pure; computed here so the telemetry stamp can
-  // carry the hop's departure time before the MTU cut decides its fate.
+  // The rewrite, built in a recycled arena slab reserved at the image's
+  // exact size: [link header] + remainder + this hop's return entry
+  // (+ telemetry record).  A warm slab never reallocates.
+  const std::span<const std::uint8_t> link =
+      lan_out ? seg.port_info : std::span<const std::uint8_t>{};
+  const std::span<const std::uint8_t> rest =
+      std::span(bytes).subspan(front.consumed());
+  const bool stamp = telemetry_enabled_ && arrival.packet->telemetry;
+  net::PacketPtr derived = arena_.acquire(
+      link.size() + rewrite_size(front, decision->reversible, stamp));
+  wire::Bytes& out_bytes = derived->bytes;
+  if (lan_out) {
+    SRP_ALLOC_OK(out_bytes.insert(out_bytes.end(), link.begin(), link.end()));
+  }
+  SRP_ALLOC_OK(out_bytes.insert(out_bytes.end(), rest.begin(), rest.end()));
+  append_return_entry(out_bytes, front, decision->reversible);
+
   const ForwardTiming timing =
-      forward_timing(arrival, front.consumed, physical_port);
-  if (telemetry_enabled_ && arrival.packet->telemetry) {
-    stamp_telemetry(out_bytes, arrival, physical_port, &out, timing,
-                    was_blocked ? obs::TokenOutcome::kMissBlocking
-                                : decision->outcome);
+      forward_timing(arrival, front.consumed(), physical_port);
+  if (stamp) {
+    // After the return entry, before the MTU cut — so the cut may slice
+    // through the newest record.
+    stamp_telemetry(out_bytes, arrival, physical_port, &out, timing, outcome);
   }
 
   bool truncated = false;
   if (out_bytes.size() > out.config().mtu_bytes) {
-    // Cut-through discovers oversize mid-transmission; the packet is cut
-    // and a truncation mark (an illegal segment) is appended (§2).
+    // Cut-through discovers oversize mid-transmission; the packet is cut to
+    // the MTU minus the 4-byte truncation mark, then the mark (an illegal
+    // segment, §2) is appended.
+    static constexpr std::size_t kMarkWire = 4;
+    SIRPENT_INVARIANT(out.config().mtu_bytes >= kMarkWire);
+    SRP_ALLOC_OK(out_bytes.resize(out.config().mtu_bytes - kMarkWire));
     const core::HeaderSegment mark = core::HeaderSegment::truncation_marker();
-    SRP_ALLOC_OK(wire::Writer mw(4));
-    encode_segment(mw, mark);
-    const wire::Bytes mark_bytes = std::move(mw).take();
-    SIRPENT_INVARIANT(out.config().mtu_bytes >= mark_bytes.size());
-    SRP_ALLOC_OK(out_bytes.resize(out.config().mtu_bytes - mark_bytes.size()));
-    SRP_ALLOC_OK(
-        out_bytes.insert(out_bytes.end(), mark_bytes.begin(), mark_bytes.end()));
+    append_segment_raw(out_bytes, mark.port, mark.tos, mark.flags, {}, {});
     truncated = true;
     ++stats_.truncated_forwards;
-    // A truncated forward is cut exactly to the output MTU with the mark as
-    // its final segment — "not a legal Sirpent header segment".
     SIRPENT_ENSURES(out_bytes.size() == out.config().mtu_bytes);
   }
 
-  const std::uint8_t next_port = peek_next_port(bytes, front.consumed);
-  net::PacketPtr derived = arrival.packet->derive(std::move(out_bytes));
+  derived->derive_from(arrival.packet);
   derived->truncated = truncated;
   derived->last_in_port = arrival.in_port;
   // Feed-forward load info rides one hop: stamped by the upstream shaper,
   // read by this router's congested-port monitor (paper §2.2).
   derived->feedforward = arrival.packet->feedforward;
 
-  const net::TxMeta meta = meta_for(front.segment.tos);
+  publish_forward(arrival, front, physical_port, timing, outcome,
+                  decision->account);
+  const net::TxMeta meta = meta_for(seg.tos);
+  if (shaper_) {
+    // The shaper lookahead is the only consumer of the next-hop peek, so
+    // the second segment is not even looked at without a congestion layer.
+    const std::uint8_t next_port = peek_next_port(bytes, front.consumed());
+    if (shaper_(physical_port, next_port, derived, meta, timing.earliest)) {
+      return;  // congestion layer took custody
+    }
+  }
+  out.enqueue(std::move(derived), meta, timing.earliest);
+}
 
+void ViperRouter::defer_blocked(const net::Arrival& arrival,
+                                const Front& front, int physical_port,
+                                sim::Time delay) {
+  // Retry once the verification has landed in the cache (the packet is
+  // fully buffered by then).  The retry owns copies of the image and the
+  // way back and decodes the segment again: the price of the kBlocking
+  // policy, not of the steady-state forward path.
+  sim_.after(delay, [this, arrival, physical_port, image = front.bytes,
+                     offset = front.offset, back_port = front.back.port,
+                     back_info = wire::Bytes(front.back.info.begin(),
+                                             front.back.info.end())] {
+    const Front retry{image, decode_segment_view(image, offset), offset,
+                      ReturnHop{back_port, back_info}};
+    forward(arrival, retry, physical_port, /*was_blocked=*/true);
+  });
+}
+
+void ViperRouter::forward_into_tunnel(const net::Arrival& arrival,
+                                      const Front& front,
+                                      const TunnelTransmit& transmit) {
+  const SegmentView& seg = front.seg;
+  const auto decision = admit_token(seg, front.bytes.size());
+  if (!decision.has_value()) return;
+  // Encapsulated image: the remainder plus this hop's return entry —
+  // exactly what a physical forward would put on the wire, minus framing.
+  const bool stamp = telemetry_enabled_ && arrival.packet->telemetry;
+  const std::span<const std::uint8_t> rest =
+      std::span(front.bytes).subspan(front.consumed());
+  wire::Bytes encap;
+  encap.reserve(rewrite_size(front, decision->reversible, stamp));
+  encap.assign(rest.begin(), rest.end());
+  append_return_entry(encap, front, decision->reversible);
+  // Tunnel egress is store-and-forward by construction and has no TxPort
+  // to sample; the hop closes when the image is handed to the transmit
+  // hook.
+  ForwardTiming timing;
+  timing.decision = arrival.tail;
+  timing.earliest = std::max(arrival.tail, sim_.now());
+  if (stamp) {
+    stamp_telemetry(encap, arrival, seg.port, nullptr, timing,
+                    decision->outcome);
+  }
+  publish_forward(arrival, front, seg.port, timing, decision->outcome,
+                  decision->account);
+  transmit(wire::Bytes(seg.port_info.begin(), seg.port_info.end()),
+           std::move(encap), seg.tos);
+}
+
+SRP_HOT_PATH void ViperRouter::publish_forward(
+    const net::Arrival& arrival, const Front& front, int out_port,
+    const ForwardTiming& timing, obs::TokenOutcome outcome,
+    std::uint32_t account) {
+  const net::Packet& src = *arrival.packet;
   ++stats_.forwarded;
   if (obs_hop_latency_ != nullptr) {
     obs_hop_latency_->record(
         static_cast<std::uint64_t>(timing.earliest - arrival.head));
   }
   if (obs_flow_ != nullptr) {
-    record_flow(arrival, front, physical_port, bytes, timing.cut_through,
-                decision->account, timing.earliest);
+    obs::FlowSample sample;
+    sample.route_digest = src.route_digest;
+    sample.packet_id = src.id;
+    sample.trace_id = src.trace_id;
+    sample.account = account;
+    sample.tos_class = front.seg.tos.priority;
+    sample.cut_through = timing.cut_through;
+    sample.in_port = static_cast<std::uint16_t>(arrival.in_port);
+    sample.out_port = static_cast<std::uint16_t>(out_port);
+    // The admitted byte count — the same value admit_token charged, which
+    // is what makes per-account roll-ups reconcile with the ledger.
+    sample.bytes = static_cast<std::uint32_t>(front.bytes.size());
+    sample.now = timing.earliest;
+    // Link header + first segment, exactly as received: the excerpt source
+    // for sampled-packet capture.
+    sample.header = std::span(front.bytes).first(front.consumed());
+    obs_flow_->on_forward(sample);
   }
-  if (obs_recorder_ != nullptr && derived->trace_id != 0) {
+  if (obs_recorder_ != nullptr && src.trace_id != 0) {
     obs::SpanRecord span;
-    span.trace_id = derived->trace_id;
-    span.hop = arrival.packet->hops;
+    span.trace_id = src.trace_id;
+    span.hop = src.hops;
     span.kind = obs::SpanKind::kHop;
-    span.token = was_blocked ? obs::TokenOutcome::kMissBlocking
-                             : decision->outcome;
+    span.token = outcome;
     span.cut_through = timing.cut_through;
     span.in_port = static_cast<std::uint16_t>(arrival.in_port);
-    span.out_port = static_cast<std::uint16_t>(physical_port);
+    span.out_port = static_cast<std::uint16_t>(out_port);
     span.start = arrival.head;
     span.decision = timing.decision;
     span.end = timing.earliest;
     span.set_component(name());
     obs_recorder_->record(span);
   }
-  if (shaper_ &&
-      shaper_(physical_port, next_port, derived, meta, timing.earliest)) {
-    return;  // congestion layer took custody
-  }
-  out.enqueue(std::move(derived), meta, timing.earliest);
-}
-
-void ViperRouter::forward_into_tunnel(const net::Arrival& arrival,
-                                       const ParsedFront& front,
-                                       const TunnelTransmit& transmit,
-                                       const wire::Bytes& bytes) {
-  const auto decision =
-      admit_token(front.segment, /*physical_port=*/0, bytes.size());
-  if (!decision.has_value()) return;
-  // Encapsulated image: the remainder plus this hop's return entry —
-  // exactly what a physical forward would put on the wire, minus framing.
-  wire::Writer w(bytes.size() + 32);
-  w.bytes(std::span{bytes}.subspan(front.consumed));
-  encode_segment(w, make_return_entry(arrival, front, decision->reversible));
-  wire::Bytes encap = std::move(w).take();
-  if (telemetry_enabled_ && arrival.packet->telemetry) {
-    // Tunnel egress has no TxPort to sample and is store-and-forward by
-    // construction; the record still pins the hop's identity and times.
-    ForwardTiming timing;
-    timing.decision = arrival.tail;
-    timing.earliest = std::max(arrival.tail, sim_.now());
-    stamp_telemetry(encap, arrival, front.segment.port, nullptr, timing,
-                    decision->outcome);
-  }
-  ++stats_.forwarded;
-  if (obs_hop_latency_ != nullptr) {
-    obs_hop_latency_->record(
-        static_cast<std::uint64_t>(arrival.tail - arrival.head));
-  }
-  if (obs_flow_ != nullptr) {
-    // Tunnel hops are store-and-forward by construction.
-    record_flow(arrival, front, front.segment.port, bytes,
-                /*cut_through=*/false, decision->account,
-                std::max(arrival.tail, sim_.now()));
-  }
-  if (obs_recorder_ != nullptr && arrival.packet->trace_id != 0) {
-    // Tunnel hops are store-and-forward by construction; the span closes
-    // when the encapsulated image is handed to the tunnel transmit hook.
-    obs::SpanRecord span;
-    span.trace_id = arrival.packet->trace_id;
-    span.hop = arrival.packet->hops;
-    span.kind = obs::SpanKind::kHop;
-    span.token = decision->outcome;
-    span.in_port = static_cast<std::uint16_t>(arrival.in_port);
-    span.out_port = front.segment.port;
-    span.start = arrival.head;
-    span.decision = arrival.tail;
-    span.end = std::max(arrival.tail, sim_.now());
-    span.set_component(name());
-    obs_recorder_->record(span);
-  }
-  transmit(front.segment.port_info, std::move(encap), front.segment.tos);
 }
 
 void ViperRouter::emit_to_port(int out_port, net::PacketPtr packet,

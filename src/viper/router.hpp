@@ -34,7 +34,6 @@
 #include "core/segment.hpp"
 #include "core/trailer.hpp"
 #include "net/arena.hpp"
-#include "net/burst.hpp"
 #include "net/ethernet.hpp"
 #include "net/network.hpp"
 #include "obs/flow_sink.hpp"
@@ -84,10 +83,9 @@ struct LogicalPort {
 
 
 /// Port field of the packet's next segment starting at @p offset, or 0
-/// when the remainder does not start with a routable segment.  The
-/// cut-through fast path: reads the fixed 4-byte prefix and skips the
-/// variable fields without materializing them, so it is allocation-free
-/// (pinned by tests/alloc_budget_test.cpp).
+/// when the remainder does not start with a routable segment.  Decodes
+/// the segment as views without materializing its fields, so it is
+/// allocation-free (pinned by tests/alloc_budget_test.cpp).
 SRP_HOT_PATH std::uint8_t peek_next_port(const wire::Bytes& bytes,
                                          std::size_t offset);
 
@@ -219,68 +217,58 @@ class ViperRouter : public net::PortedNode {
   [[nodiscard]] tokens::TokenCache& token_cache() { return token_cache_; }
   [[nodiscard]] std::uint32_t router_id() const { return config_.router_id; }
 
-  // --- batched data plane (DESIGN.md §11) ---
-
-  /// Tuning for the batched forward path.
-  struct BatchConfig {
-    /// Packets handed to one forward_burst() call.  Larger bursts amortize
-    /// better; batch boundaries still align to event boundaries, so this
-    /// is a pure engine knob with no effect on simulated behaviour.
-    std::size_t max_burst = 16;
-    /// Packet slabs the arena may pool (free slabs recycle, zero-alloc).
-    std::size_t arena_capacity = net::PacketArena::kDefaultCapacity;
-  };
-
-  /// Switches the forward path to run-to-completion bursts: same-instant
-  /// arrivals coalesce into one drain event that runs token validation,
-  /// header parsing, flow accounting and observability as batch passes
-  /// over arena-backed buffers.  Off by default; the per-packet and
-  /// batched paths produce byte-identical simulations (pinned by
-  /// tests/batch_equivalence_test.cpp).
-  void set_batching(BatchConfig config);
-  void disable_batching() { batching_ = false; }
-  [[nodiscard]] bool batching_enabled() const { return batching_; }
+  /// The forward path's slab pool (DESIGN.md §11): every rewritten image
+  /// is built in a recycled slab.
   [[nodiscard]] const net::PacketArena& arena() const { return arena_; }
 
-  /// Forwards @p burst — a vector of same-instant arrivals, in arrival
-  /// order — through the batch passes.  Requires set_batching().  Public
-  /// so burst-capable drivers (benches, the alloc-budget test) can hand
-  /// a dequeued vector straight to the engine; in the sim proper the
-  /// drain event scheduled by on_arrival() is the only caller.
-  void forward_burst(std::span<const net::Arrival> burst);
-
+  /// The forwarding engine (DESIGN.md §11): decodes the link header (LAN
+  /// in-port) and the first segment as views, dispatches on the port and
+  /// runs the forward to completion inside the arrival's own event.
   void on_arrival(const net::Arrival& arrival) override;
 
  private:
-  struct ParsedFront {
-    std::optional<net::EthernetHeader> link;  ///< present on LAN arrivals
-    core::HeaderSegment segment;              ///< first VIPER segment
-    std::size_t consumed = 0;                 ///< front bytes consumed
-    /// Set on tunnel ingress: (tunnel port id, reverse tunnel info) for
-    /// the trailer entry instead of arrival port / link header.
-    std::optional<std::pair<std::uint8_t, wire::Bytes>> tunnel_return;
+  /// How this hop's trailer entry names the way back: the arrival port
+  /// with no portInfo (point-to-point), the arrival port with the reversed
+  /// link header (LAN ingress), or the tunnel port with the far gateway's
+  /// info (tunnel ingress).  Empty info encodes as VNT.
+  struct ReturnHop {
+    std::uint8_t port = 0;
+    std::span<const std::uint8_t> info;
   };
 
-  void handle_packet(
-      const net::Arrival& arrival, const wire::Bytes& bytes,
-      bool synthetic_tree_copy,
-      std::optional<std::pair<std::uint8_t, wire::Bytes>> tunnel_return =
-          std::nullopt);
-  /// @p was_blocked marks a re-entry after a blocking token admission, so
-  /// the hop span keeps the miss-blocking outcome instead of the hit the
-  /// retry sees.
-  void forward(const net::Arrival& arrival, const ParsedFront& front,
-               int physical_port, const wire::Bytes& bytes,
-               bool was_blocked = false);
-  void deliver_control(const net::Arrival& arrival, const ParsedFront& front,
-                       const wire::Bytes& bytes);
-  void branch_tree(const net::Arrival& arrival, const ParsedFront& front,
-                   const wire::Bytes& bytes);
+  /// What one forwarding decision reads: the image being routed (the
+  /// arrival's own bytes or a tree branch's copy), its first segment as
+  /// views into that image, and the way back.
+  struct Front {
+    const wire::Bytes& bytes;
+    SegmentView seg;
+    std::size_t offset = 0;  ///< where seg starts: past any link header
+    ReturnHop back;
 
-  /// Builds the trailer entry for the reverse hop through this router.
-  [[nodiscard]] core::HeaderSegment make_return_entry(
-      const net::Arrival& arrival, const ParsedFront& front,
-      bool token_reversible) const;
+    /// Link header + first segment: what a cut-through switch must have
+    /// received before it can decide.
+    [[nodiscard]] std::size_t consumed() const {
+      return offset + seg.wire_size;
+    }
+  };
+
+  /// Decodes the segment at @p offset of @p bytes and dispatches it:
+  /// control delivery, tree branches, tunnel, logical or physical port.
+  void route(const net::Arrival& arrival, const wire::Bytes& bytes,
+             std::size_t offset, const ReturnHop& back);
+  /// The per-hop rewrite out of physical @p physical_port.  @p was_blocked
+  /// marks a retry after a blocking token admission, so the hop span keeps
+  /// the miss-blocking outcome instead of the hit the retry sees.
+  void forward(const net::Arrival& arrival, const Front& front,
+               int physical_port, bool was_blocked = false);
+  /// kBlocking miss: retries forward() once verification has landed, on
+  /// copies of the image and the way back.
+  void defer_blocked(const net::Arrival& arrival, const Front& front,
+                     int physical_port, sim::Time delay);
+  void forward_logical(const net::Arrival& arrival, const Front& front,
+                       const LogicalPort& lp);
+  void deliver_control(const net::Arrival& arrival, const Front& front);
+  void branch_tree(const net::Arrival& arrival, const Front& front);
 
   /// Token admission.  Returns nullopt when the packet must be dropped;
   /// otherwise the extra delay (0 for cache hits / optimistic) and whether
@@ -291,49 +279,8 @@ class ViperRouter : public net::PortedNode {
     obs::TokenOutcome outcome = obs::TokenOutcome::kNone;
     std::uint32_t account = 0;  ///< charged account (cache hits only)
   };
-  std::optional<TokenDecision> admit_token(const core::HeaderSegment& seg,
-                                           int physical_port,
+  std::optional<TokenDecision> admit_token(const SegmentView& seg,
                                            std::size_t packet_bytes);
-
-  /// The token-relevant slice of a segment as *views* — what admission
-  /// needs, without materializing a HeaderSegment.
-  struct TokenRef {
-    std::span<const std::uint8_t> token;
-    std::uint8_t port = 0;
-    std::uint8_t priority = 0;
-    bool rpf = false;
-  };
-  /// The real admission logic; admit_token() is a thin wrapper over this.
-  std::optional<TokenDecision> admit_token_ref(const TokenRef& ref,
-                                               int physical_port,
-                                               std::size_t packet_bytes);
-
-  // --- batched forward path internals ---
-
-  /// Per-item classification result for one burst.
-  struct BurstSlot {
-    SegmentView view;
-    bool fast = false;  ///< eligible for forward_fast()
-  };
-
-  /// True when @p arrival can take the zero-copy fast path: plain
-  /// point-to-point in and out, a legal physical-port segment, no tunnel /
-  /// logical / tree / control dispatch, and no blocking token policy.
-  /// Pure — no counters move — so a slow item replays from scratch.
-  bool classify_fast(const net::Arrival& arrival, SegmentView& view) const;
-
-  /// The zero-copy per-item pass: admission, in-place header rewrite into
-  /// an arena slab, timing, accounting.  Mirrors forward() exactly for the
-  /// packets classify_fast() accepts.
-  void forward_fast(const net::Arrival& arrival, const SegmentView& view);
-
-  /// Publishes the burst's accumulated flow samples and hop spans through
-  /// the batch-pass observer hooks.  Called before any slow-path item (to
-  /// keep the sampler stream in strict item order) and at burst end.
-  void flush_burst_obs();
-
-  /// Drain event body: forwards everything coalesced at this instant.
-  void drain_bursts();
 
   /// When the switch decision happens and when output may start (§2.1).
   struct ForwardTiming {
@@ -351,16 +298,29 @@ class ViperRouter : public net::PortedNode {
   /// Appends this hop's telemetry record to @p out_bytes (the rewritten
   /// image, return entry already in place).  @p out is the egress TxPort
   /// whose queue state the record samples — null for tunnel egress.
-  /// Identical byte effect on the reference and zero-copy paths.
   void stamp_telemetry(wire::Bytes& out_bytes, const net::Arrival& arrival,
                        int out_port, const net::TxPort* out,
                        const ForwardTiming& timing,
                        obs::TokenOutcome outcome);
 
-  void forward_into_tunnel(const net::Arrival& arrival,
-                           const ParsedFront& front,
-                           const TunnelTransmit& transmit,
-                           const wire::Bytes& bytes);
+  void forward_into_tunnel(const net::Arrival& arrival, const Front& front,
+                           const TunnelTransmit& transmit);
+
+  /// Size of the rewritten image past any link header: remainder + return
+  /// entry (+ a telemetry record when @p stamp).
+  static std::size_t rewrite_size(const Front& front, bool reversible,
+                                  bool stamp);
+
+  /// Appends this hop's trailer entry — front.back, the segment's type of
+  /// service, the token when @p reversible — to @p out.
+  static void append_return_entry(wire::Bytes& out, const Front& front,
+                                  bool reversible);
+
+  /// A forward's bookkeeping, at the forward itself: the forwarded count,
+  /// hop latency, the flow sample and the hop span.
+  void publish_forward(const net::Arrival& arrival, const Front& front,
+                       int out_port, const ForwardTiming& timing,
+                       obs::TokenOutcome outcome, std::uint32_t account);
 
   RouterConfig config_;
   std::vector<PortKind> port_kinds_;  // indexed by port id
@@ -372,26 +332,14 @@ class ViperRouter : public net::PortedNode {
   tokens::TokenCache token_cache_;
   std::unordered_set<std::uint64_t> pending_verifies_;
 
-  // Batched data plane state.  The scratch vectors keep their capacity
-  // across bursts, so the steady-state drain is allocation-free.
-  bool batching_ = false;
-  BatchConfig batch_config_;
+  /// Slab pool for rewritten images; a slab recycles once its packet has
+  /// left every queue, event and parent chain.
   net::PacketArena arena_;
-  net::ArrivalBurst ingress_;
-  std::vector<BurstSlot> burst_slots_;
-  std::vector<obs::FlowSample> burst_samples_;
-  std::vector<obs::SpanRecord> burst_spans_;
 
   ControlHandler control_handler_;
   Shaper shaper_;
   Stats stats_;
   bool telemetry_enabled_ = false;  ///< set_path_telemetry()
-
-  /// Publishes one obs::FlowSample for a forwarded packet, when a flow
-  /// sink is wired.
-  void record_flow(const net::Arrival& arrival, const ParsedFront& front,
-                   int out_port, const wire::Bytes& bytes, bool cut_through,
-                   std::uint32_t account, sim::Time now);
 
   // Observability handles, resolved once by set_observer(); null = off.
   stats::Histogram* obs_hop_latency_ = nullptr;

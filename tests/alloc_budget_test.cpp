@@ -7,11 +7,11 @@
 // *end-to-end* allocation cost of the steady-state forwarding path: if
 // a change sneaks an extra per-packet allocation in anywhere — router,
 // port, codec, flow accounting — the budget assertion moves and the
-// regression is attributable to this PR, not discovered in a profile
-// three PRs later.  Two budgets are pinned: the per-packet reference
-// path's end-to-end cost (measured cost plus modest headroom), and the
-// batched arena-backed forward path, which must be exactly zero once the
-// slabs are warm.
+// regression is attributable to the change that made it, not discovered
+// in a profile much later.  Two budgets are pinned: the end-to-end cost of
+// a host-to-host line (measured cost plus modest headroom), and the
+// router's forwarding engine on every common packet shape, which must be
+// exactly zero once the arena slabs are warm.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,11 +19,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "directory/fabric.hpp"
+#include "net/ethernet.hpp"
 #include "net/node.hpp"
 #include "sim/event_queue.hpp"
 #include "test_util.hpp"
+#include "tokens/token.hpp"
 #include "viper/codec.hpp"
 #include "viper/router.hpp"
 #include "wire/buffer.hpp"
@@ -76,12 +80,13 @@ std::uint64_t allocation_count() {
 /// Steady-state allocations per packet across a 2-router line, measured
 /// end to end: host encode, two router forwards (cut-through peek, port
 /// queueing, flow accounting, hop events), final local delivery.  The
-/// measured value on libstdc++ 12 is 20 (host encode, per-hop packet
-/// clone, port queueing, flow accounting, delivery; sim events store
-/// their captures inline and no longer allocate); the cap leaves room for
-/// small-buffer-optimization differences between standard libraries, not
-/// for new allocations on the path.
-constexpr std::uint64_t kSteadyStatePacketBudget = 24;
+/// measured value on libstdc++ 12 is 16 (host encode, port queueing,
+/// flow accounting, delivery; the router rewrites into recycled arena
+/// slabs and sim events store their captures inline, so neither
+/// allocates); the cap leaves room for small-buffer-optimization
+/// differences between standard libraries, not for new allocations on
+/// the path.
+constexpr std::uint64_t kSteadyStatePacketBudget = 20;
 
 TEST(AllocBudget, SteadyStateLineForwardingStaysWithinBudget) {
   sim::Simulator sim;
@@ -122,32 +127,105 @@ TEST(AllocBudget, SteadyStateLineForwardingStaysWithinBudget) {
       << " allocations/packet — tighten kSteadyStatePacketBudget";
 }
 
-/// The tentpole claim of the batched data plane: once the arena slabs and
-/// the burst scratch vectors are warm, the batched forward path allocates
-/// *zero* times per packet — every derived packet runs out of a recycled
-/// slab whose byte capacity survives reset, header fields are views into
-/// the arrival buffer, and the rewrite appends in place.  Measured on the
-/// router alone (output port administratively down, so enqueue drops
-/// without link machinery; driving through sim events would charge the
-/// event queue's own storage to the forward path).
-TEST(AllocBudget, BatchedForwardPathIsAllocationFreeOnceWarm) {
-  sim::Simulator sim;
-  viper::ViperRouter router(sim, "r.batch", {});
-  const net::LinkConfig link;
-  router.add_port(link);         // port 1: ingress side
-  router.add_port(link);         // port 2: egress
-  router.port(2).set_up(false);  // drop at enqueue, zero events
-  viper::ViperRouter::BatchConfig batch;
-  batch.max_burst = 64;
-  router.set_batching(batch);
+/// The packet shapes the forwarding engine must run allocation-free.
+enum class Shape {
+  kPointToPoint,
+  kLanIngress,
+  kLanEgress,
+  kLogicalTrunk,
+  kLogicalFanout,
+  kTokenCacheHit,
+};
 
+std::string shape_name(Shape shape) {
+  switch (shape) {
+    case Shape::kPointToPoint: return "PointToPoint";
+    case Shape::kLanIngress: return "LanIngress";
+    case Shape::kLanEgress: return "LanEgress";
+    case Shape::kLogicalTrunk: return "LogicalTrunk";
+    case Shape::kLogicalFanout: return "LogicalFanout";
+    case Shape::kTokenCacheHit: return "TokenCacheHit";
+  }
+  return "Unknown";
+}
+
+wire::Bytes ethernet_header() {
+  wire::Writer w(net::EthernetHeader::kWireSize);
+  net::EthernetHeader{net::MacAddr::from_index(2), net::MacAddr::from_index(1),
+                      net::kEtherTypeSirpent}
+      .encode(w);
+  return std::move(w).take();
+}
+
+/// Once the arena slabs are warm, a forward allocates *zero* times on every
+/// common shape: each derived packet runs out of a recycled slab whose
+/// byte capacity survives reset, header fields are views into the arrival
+/// buffer, and the rewrite appends in place.  Driven through on_arrival on
+/// the router alone, with every egress administratively down so enqueue
+/// drops without link machinery or events (driving through sim events
+/// would charge the event queue's own storage to the forward path).  Each
+/// round forwards a burst of 64 arrivals back to back.
+void expect_warm_forward_allocates_nothing(const Shape shape) {
+  constexpr std::uint32_t kRouterId = 9;
+  constexpr std::uint32_t kAccount = 5;
+  sim::Simulator sim;
+  viper::RouterConfig config;
+  config.router_id = kRouterId;
+  config.require_tokens = shape == Shape::kTokenCacheHit;
+  viper::ViperRouter router(sim, "r.alloc", config);
+  const net::LinkConfig link;
+  router.add_port(link);  // port 1: ingress side
+  router.add_port(link);  // ports 2, 3: egress, down
+  router.add_port(link);
+  router.port(2).set_up(false);
+  router.port(3).set_up(false);
+
+  tokens::TokenAuthority authority(0x5EED);
+  tokens::Ledger ledger;
+  core::HeaderSegment hop = test::p2p_segment(2);
+  wire::Bytes bytes;  // link header first on a LAN in-port
+  switch (shape) {
+    case Shape::kPointToPoint:
+      break;
+    case Shape::kLanIngress:
+      router.set_port_kind(1, viper::PortKind::kLan);
+      bytes = ethernet_header();
+      break;
+    case Shape::kLanEgress:
+      router.set_port_kind(2, viper::PortKind::kLan);
+      hop.flags.vnt = false;
+      hop.port_info = ethernet_header();
+      break;
+    case Shape::kLogicalTrunk:
+      router.define_logical_port(
+          10, {viper::LogicalPort::Kind::kLoadBalance, {2, 3}});
+      hop.port = 10;
+      break;
+    case Shape::kLogicalFanout:
+      router.define_logical_port(11,
+                                 {viper::LogicalPort::Kind::kFanout, {2, 3}});
+      hop.port = 11;
+      break;
+    case Shape::kTokenCacheHit: {
+      router.set_token_authority(&authority, &ledger);
+      tokens::TokenBody body;
+      body.router_id = kRouterId;
+      body.port = 2;
+      body.max_priority = 7;
+      body.account = kAccount;
+      hop.token = authority.mint(body);
+      router.token_cache().store(hop.token,
+                                 authority.open(kRouterId, hop.token));
+      break;
+    }
+  }
   core::SourceRoute route;
-  route.segments.push_back(test::p2p_segment(2));
-  route.segments.push_back(test::local_segment());
-  const wire::Bytes bytes = viper::encode_packet(route, pattern_bytes(256));
+  route.segments = {hop, test::local_segment()};
+  const wire::Bytes image = viper::encode_packet(route, pattern_bytes(256));
+  bytes.insert(bytes.end(), image.begin(), image.end());
 
   net::PacketFactory packets;
-  std::vector<net::Arrival> burst;
+  std::vector<net::Arrival> arrivals;
   for (int i = 0; i < 64; ++i) {
     net::Arrival arrival;
     arrival.packet = packets.make(bytes, 0);
@@ -155,29 +233,56 @@ TEST(AllocBudget, BatchedForwardPathIsAllocationFreeOnceWarm) {
     arrival.head = 0;
     arrival.tail = 2048;
     arrival.rate_bps = link.rate_bps;
-    burst.push_back(std::move(arrival));
+    arrivals.push_back(std::move(arrival));
   }
+  const auto forward_all = [&] {
+    for (const net::Arrival& arrival : arrivals) router.on_arrival(arrival);
+  };
 
-  // Warm-up: the arena pool fills, slab byte capacities grow to the
-  // packet size, and the classification scratch reaches steady capacity.
-  constexpr std::uint64_t kWarmBursts = 8;
-  for (std::uint64_t i = 0; i < kWarmBursts; ++i) {
-    router.forward_burst(burst);
-  }
+  // Warm-up: the arena pool fills and slab byte capacities reach the
+  // image size.
+  constexpr std::uint64_t kWarmRounds = 8;
+  for (std::uint64_t i = 0; i < kWarmRounds; ++i) forward_all();
 
-  constexpr std::uint64_t kBursts = 100;
+  constexpr std::uint64_t kRounds = 100;
   const std::uint64_t before = allocation_count();
-  for (std::uint64_t i = 0; i < kBursts; ++i) router.forward_burst(burst);
+  for (std::uint64_t i = 0; i < kRounds; ++i) forward_all();
   EXPECT_EQ(allocation_count() - before, 0u)
-      << "the steady-state batched forward path must not allocate; a new "
-         "allocation here breaks the zero-copy arena design (DESIGN.md "
-         "§11)";
+      << shape_name(shape) << ": a warm forward must not allocate; a new "
+      << "allocation here breaks the arena design (DESIGN.md §11)";
 
-  EXPECT_EQ(router.stats().forwarded, (kWarmBursts + kBursts) * 64);
+  const std::uint64_t packets_in = (kWarmRounds + kRounds) * 64;
+  const std::uint64_t copies = shape == Shape::kLogicalFanout ? 2 : 1;
+  EXPECT_EQ(router.stats().forwarded, packets_in * copies);
   // The measured window really ran on recycled slabs, not fresh ones.
-  EXPECT_GT(router.arena().stats().recycled, kBursts * 64 - 1);
-  EXPECT_LE(router.arena().stats().fresh, 64u);
+  EXPECT_GE(router.arena().stats().recycled, kRounds * 64 * copies);
+  EXPECT_LE(router.arena().stats().fresh, net::PacketArena::kCapacity);
+  if (shape == Shape::kTokenCacheHit) {
+    EXPECT_EQ(ledger.usage(kAccount).packets, packets_in);
+  }
 }
+
+/// The plain point-to-point shape: a burst of 64 arrivals through the
+/// forward path allocates nothing once the arena is warm.
+TEST(AllocBudget, BatchedForwardPathIsAllocationFreeOnceWarm) {
+  expect_warm_forward_allocates_nothing(Shape::kPointToPoint);
+}
+
+/// The other common shapes, each held to the same zero budget.
+class EngineAllocBudget : public ::testing::TestWithParam<Shape> {};
+
+TEST_P(EngineAllocBudget, ForwardIsAllocationFreeOnceWarm) {
+  expect_warm_forward_allocates_nothing(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, EngineAllocBudget,
+    ::testing::Values(Shape::kLanIngress, Shape::kLanEgress,
+                      Shape::kLogicalTrunk, Shape::kLogicalFanout,
+                      Shape::kTokenCacheHit),
+    [](const ::testing::TestParamInfo<Shape>& info) {
+      return shape_name(info.param);
+    });
 
 /// The event queue keeps callbacks in a recycled slot table with inline
 /// capture storage: once the table and heap are warm, a schedule / pop /

@@ -9,8 +9,8 @@
 // the system-level contracts: a wired-but-unmarked fabric is
 // byte-identical to an unwired one, the collector's reconstruction agrees
 // with the FlightRecorder's first-person hop spans under full chaos, the
-// batched plane stamps byte-identically across batch sizes, and the
-// exporter output for the `int.*` namespace is pinned by goldens.
+// telemetry chaos run replays deterministically, and the exporter output
+// for the `int.*` namespace is pinned by goldens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,6 +40,8 @@ using test::Line;
 using test::line_route;
 using test::pattern_bytes;
 using test::run_chaos;
+using test::telemetry_chaos_digest;
+using test::telemetry_on;
 
 constexpr std::uint64_t kSeed = 0x17A7;
 
@@ -404,17 +406,6 @@ TEST(IntLine, StampStopsAtMaxHops) {
 
 // --- system-level contracts under chaos --------------------------------------
 
-std::function<void(dir::Fabric&)> telemetry_on(std::uint32_t period,
-                                               std::size_t max_records =
-                                                   1 << 15) {
-  return [period, max_records](dir::Fabric& fabric) {
-    dir::PathTelemetryConfig config;
-    config.sample_period = period;
-    config.collector.max_records = max_records;
-    fabric.enable_path_telemetry(config);
-  };
-}
-
 TEST(IntChaos, WiredButUnmarkedFabricIsByteIdentical) {
   // sample_period 0 wires every router and host for telemetry but marks
   // nothing: the whole run — delivered bytes, fault-engine RNG draws,
@@ -499,72 +490,8 @@ TEST(IntChaos, CollectorAgreesWithFlightRecorder) {
   EXPECT_EQ(counters.at("int.path.hops_stamped"), totals.hops_stamped);
 }
 
-/// ChaosOutcome + collector totals, flattened for EXPECT_EQ diffing.
-test::ChaosDigest telemetry_chaos_digest(
-    const std::function<void(dir::Fabric&)>& extra_configure = {}) {
-  test::ChaosDigest digest;
-  const test::ChaosOutcome outcome = run_chaos(
-      kSeed, {},
-      [&](dir::Fabric& fabric) {
-        const PathCollector* collector = fabric.path_collector();
-        ASSERT_NE(collector, nullptr);
-        const PathCollector::Totals& totals = collector->totals();
-        digest["int.packets"] = totals.packets;
-        digest["int.hops_stamped"] = totals.hops_stamped;
-        digest["int.truncated"] = totals.truncated;
-        digest["int.decode_errors"] = totals.decode_errors;
-        digest["int.drops_localized"] = totals.drops_localized;
-        digest["int.paths"] = totals.paths;
-        for (const auto& [router, count] :
-             collector->drops_after_router()) {
-          digest["int.drops_after." + std::to_string(router)] = count;
-        }
-        // Per-record digest: every reconstructed journey, all hops.
-        std::uint64_t journeys = 0;
-        for (const PathRecord& record : collector->records()) {
-          std::vector<std::uint8_t> bytes;
-          for (const HopTelemetry& hop : record.hops) {
-            std::array<std::uint8_t, kHopTelemetryWire> payload{};
-            hop.encode(payload);
-            bytes.insert(bytes.end(), payload.begin(), payload.end());
-          }
-          journeys += record.trace_id + record.digest +
-                      static_cast<std::uint64_t>(record.delivered_at) +
-                      test::fnv1a(bytes);
-        }
-        digest["int.journey_hash"] = journeys;
-      },
-      [&](dir::Fabric& fabric) {
-        telemetry_on(2)(fabric);
-        if (extra_configure) extra_configure(fabric);
-      });
-  digest["chaos.ok"] = static_cast<std::uint64_t>(outcome.ok);
-  digest["chaos.completed"] = static_cast<std::uint64_t>(outcome.completed);
-  digest["chaos.response_hash"] = outcome.response_hash;
-  return digest;
-}
-
 TEST(IntChaos, TelemetryRunIsDeterministic) {
-  expect_deterministic([] { return telemetry_chaos_digest(); });
-}
-
-TEST(IntBatch, ReconstructionIdenticalAcrossBatchSizes) {
-  // The batched plane must stamp byte-identically: queue-state reads at
-  // stamp time happen just before this packet's enqueue in both modes, so
-  // every reconstructed journey — not just the totals — matches the
-  // per-packet reference for every batch size.
-  const test::ChaosDigest reference = telemetry_chaos_digest();
-  EXPECT_GT(reference.at("int.hops_stamped"), 0u);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{4},
-                                  std::size_t{16}, std::size_t{64}}) {
-    const test::ChaosDigest batched =
-        telemetry_chaos_digest([batch](dir::Fabric& fabric) {
-          viper::ViperRouter::BatchConfig config;
-          config.max_burst = batch;
-          fabric.enable_batching(config);
-        });
-    EXPECT_EQ(batched, reference) << "batch size " << batch;
-  }
+  expect_deterministic([] { return telemetry_chaos_digest(kSeed); });
 }
 
 // --- exporter goldens --------------------------------------------------------

@@ -360,7 +360,7 @@ void append_telemetry_record(wire::Bytes& out, const obs::HopTelemetry& t) {
 
 TEST_P(TelemetryReversalProperty, ReversalPreservesRecordsAndHopOrder) {
   // A realistic mixed trailer — return entries interleaved with telemetry
-  // records — survives the batched plane's in-place reversal: every record
+  // records — survives the codec's in-place reversal: every record
   // still decodes, and sorting by hop number (what the sink host does)
   // reconstructs the identical path from either trailer orientation.
   sim::Rng rng(GetParam() * 0x51A3 + 9);
@@ -420,7 +420,7 @@ TEST_P(TelemetryReversalProperty, ReversalPreservesRecordsAndHopOrder) {
 TEST_P(TelemetryReversalProperty, SlicedRecordLeavesTrailerUntouched) {
   // An MTU cut through the newest record makes the trailer unparseable as
   // whole segments; the in-place pass must refuse and leave every byte
-  // alone (the host then falls back to the reference path byte-identically).
+  // alone.
   sim::Rng rng(GetParam() * 0x77F + 5);
   for (int trial = 0; trial < 20; ++trial) {
     wire::Bytes trailer;

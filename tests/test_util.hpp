@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -16,6 +17,7 @@
 #include "fault/engine.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/random.hpp"
 #include "transport/vmtp.hpp"
 #include "viper/router.hpp"
@@ -211,8 +213,8 @@ void expect_deterministic(Scenario scenario) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos harness (hoisted from chaos_test.cpp so the batch-equivalence suite
-// can run the identical scenario with a differently-configured fabric).
+// Chaos harness (hoisted from chaos_test.cpp so the engine-golden and INT
+// suites can run the identical scenario with extra planes wired).
 
 namespace chaos {
 constexpr sim::Time kTrafficEnd = 600 * sim::kMillisecond;
@@ -243,10 +245,10 @@ struct ChaosOutcome {
 /// diamond while a deterministic FaultPlan attacks every link.  The world
 /// is built from scratch each call so reruns share no state but the seed.
 /// @p configure, when set, sees the fabric after the topology and the
-/// standard enables but before any traffic — the hook the batched-plane
-/// equivalence suite uses to flip Fabric::enable_batching.  @p inspect,
-/// when set, sees the drained fabric before teardown (for cross-checking
-/// external planes against fabric-owned state like the ledger).
+/// standard enables but before any traffic — the hook the INT suite uses
+/// to wire path telemetry.  @p inspect, when set, sees the drained fabric
+/// before teardown (for cross-checking external planes against
+/// fabric-owned state like the ledger).
 inline ChaosOutcome run_chaos(
     std::uint64_t seed, const obs::Observer& observer = {},
     const std::function<void(dir::Fabric&)>& inspect = {},
@@ -389,6 +391,61 @@ inline ChaosOutcome run_chaos(
   }
   if (inspect) inspect(fabric);
   return outcome;
+}
+
+/// Fabric hook enabling in-band path telemetry: sends marked 1-in-@p period,
+/// the collector keeping up to @p max_records journeys.
+inline std::function<void(dir::Fabric&)> telemetry_on(
+    std::uint32_t period, std::size_t max_records = 1 << 15) {
+  return [period, max_records](dir::Fabric& fabric) {
+    dir::PathTelemetryConfig config;
+    config.sample_period = period;
+    config.collector.max_records = max_records;
+    fabric.enable_path_telemetry(config);
+  };
+}
+
+/// A chaos run with path telemetry marking every other send: the
+/// ChaosOutcome plus the collector's totals and a hash of every
+/// reconstructed journey, flattened for EXPECT_EQ diffing.
+inline ChaosDigest telemetry_chaos_digest(std::uint64_t seed) {
+  ChaosDigest digest;
+  const ChaosOutcome outcome = run_chaos(
+      seed, {},
+      [&](dir::Fabric& fabric) {
+        const obs::PathCollector* collector = fabric.path_collector();
+        ASSERT_NE(collector, nullptr);
+        const obs::PathCollector::Totals& totals = collector->totals();
+        digest["int.packets"] = totals.packets;
+        digest["int.hops_stamped"] = totals.hops_stamped;
+        digest["int.truncated"] = totals.truncated;
+        digest["int.decode_errors"] = totals.decode_errors;
+        digest["int.drops_localized"] = totals.drops_localized;
+        digest["int.paths"] = totals.paths;
+        for (const auto& [router, count] :
+             collector->drops_after_router()) {
+          digest["int.drops_after." + std::to_string(router)] = count;
+        }
+        // Per-record digest: every reconstructed journey, all hops.
+        std::uint64_t journeys = 0;
+        for (const obs::PathRecord& record : collector->records()) {
+          std::vector<std::uint8_t> bytes;
+          for (const obs::HopTelemetry& hop : record.hops) {
+            std::array<std::uint8_t, obs::kHopTelemetryWire> payload{};
+            hop.encode(payload);
+            bytes.insert(bytes.end(), payload.begin(), payload.end());
+          }
+          journeys += record.trace_id + record.digest +
+                      static_cast<std::uint64_t>(record.delivered_at) +
+                      fnv1a(bytes);
+        }
+        digest["int.journey_hash"] = journeys;
+      },
+      telemetry_on(2));
+  digest["chaos.ok"] = static_cast<std::uint64_t>(outcome.ok);
+  digest["chaos.completed"] = static_cast<std::uint64_t>(outcome.completed);
+  digest["chaos.response_hash"] = outcome.response_hash;
+  return digest;
 }
 
 }  // namespace srp::test

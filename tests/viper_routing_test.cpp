@@ -419,5 +419,51 @@ TEST_F(ViperRoutingTest, NoInfiniteLoopsByConstruction) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+TEST(ViperRouterTokens, MalformedLanEgressIsDroppedBeforeCharging) {
+  // A LAN egress takes its link header from the segment's portInfo; with
+  // only 4 bytes of it the packet cannot leave, so admission must not
+  // charge the (cached, valid) token for it.
+  constexpr std::uint32_t kRouterId = 7;
+  constexpr std::uint32_t kAccount = 42;
+  sim::Simulator sim;
+  RouterConfig config;
+  config.router_id = kRouterId;
+  config.require_tokens = true;
+  ViperRouter router(sim, "r.lan", config);
+  const net::LinkConfig link;
+  router.add_port(link);
+  router.add_port(link);
+  router.set_port_kind(2, PortKind::kLan);
+  tokens::TokenAuthority authority(0xA11CE);
+  tokens::Ledger ledger;
+  router.set_token_authority(&authority, &ledger);
+
+  tokens::TokenBody body;
+  body.router_id = kRouterId;
+  body.port = 2;
+  body.max_priority = 7;
+  body.account = kAccount;
+  core::HeaderSegment hop;
+  hop.port = 2;
+  hop.token = authority.mint(body);
+  hop.port_info = pattern_bytes(4);
+  router.token_cache().store(hop.token, authority.open(kRouterId, hop.token));
+
+  core::SourceRoute route;
+  route.segments = {hop, local_segment()};
+  net::PacketFactory packets;
+  net::Arrival arrival;
+  arrival.packet = packets.make(encode_packet(route, pattern_bytes(64)), 0);
+  arrival.in_port = 1;
+  arrival.tail = 1000;
+  arrival.rate_bps = link.rate_bps;
+  router.on_arrival(arrival);
+
+  EXPECT_EQ(router.stats().dropped_malformed, 1u);
+  EXPECT_EQ(router.stats().forwarded, 0u);
+  EXPECT_TRUE(ledger.all().empty());
+  EXPECT_EQ(router.token_cache().stats().hits, 0u);
+}
+
 }  // namespace
 }  // namespace srp::viper
