@@ -1,9 +1,7 @@
 #!/usr/bin/env python3
 """Collect the repo's microbenchmark results into one JSON document.
 
-Runs the google-benchmark binaries (bench_obs_overhead,
-bench_fault_overhead, bench_flow_overhead, bench_int_overhead,
-bench_health_overhead) with
+Runs the google-benchmark binary bench_overhead with
 --benchmark_format=json and folds every benchmark into a flat
 {name: ns_per_op} map using cpu_time; then runs bench_scalability and
 records its ENGINE_NS line (the forwarding engine's ns/packet) under
@@ -26,14 +24,6 @@ import re
 import subprocess
 import sys
 
-GBENCH_BINARIES = [
-    "bench_obs_overhead",
-    "bench_fault_overhead",
-    "bench_flow_overhead",
-    "bench_int_overhead",
-    "bench_health_overhead",
-]
-
 # ENGINE_NS per_packet=61.6
 ENGINE_NS = re.compile(r"ENGINE_NS\s+per_packet=([\d.]+)")
 
@@ -42,9 +32,9 @@ INT_BYTES = re.compile(
     r"INT_BYTES\s+per_hop_off=(\d+)\s+per_hop_on=(\d+)\s+record=(\d+)")
 
 
-def run_gbench(bindir, name, results):
+def run_gbench(bindir, results):
     out = subprocess.run(
-        [f"{bindir}/{name}", "--benchmark_format=json"],
+        [f"{bindir}/bench_overhead", "--benchmark_format=json"],
         capture_output=True, text=True, check=True).stdout
     for bench in json.loads(out)["benchmarks"]:
         results[bench["name"]] = float(bench["cpu_time"])
@@ -82,8 +72,7 @@ def main():
     args = parser.parse_args()
 
     results = {}
-    for name in GBENCH_BINARIES:
-        run_gbench(args.bindir, name, results)
+    run_gbench(args.bindir, results)
     run_scalability(args.bindir, results)
     run_header_overhead(args.bindir, results)
 

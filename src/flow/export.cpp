@@ -1,17 +1,14 @@
 #include "flow/export.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 #include <iterator>
+
+#include "obs/text.hpp"
 
 namespace srp::flow {
 namespace {
 
-void append_fmt(std::string& out, const char* fmt, auto... args) {
-  char buf[128];
-  std::snprintf(buf, sizeof buf, fmt, args...);
-  out += buf;
-}
+using obs::append_fmt;
 
 void append_record(std::string& out, const FlowRecord& r) {
   append_fmt(out, "{\"route\":\"%016" PRIx64 "\"", r.key.route_digest);

@@ -1,9 +1,10 @@
 #include "obs/export.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 #include <map>
 #include <string_view>
+
+#include "obs/text.hpp"
 
 namespace srp::obs {
 namespace {
@@ -16,32 +17,6 @@ std::string prom_name(std::string_view metric) {
   std::string out;
   out.reserve(metric.size());
   for (char c : metric) out.push_back((c == '.' || c == '-') ? '_' : c);
-  return out;
-}
-
-void append_fmt(std::string& out, const char* fmt, auto... args) {
-  char buf[128];
-  std::snprintf(buf, sizeof buf, fmt, args...);
-  out += buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          append_fmt(out, "\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
   return out;
 }
 
@@ -69,6 +44,26 @@ std::string_view span_category(SpanKind kind) {
 }
 
 }  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          append_fmt(out, "\\u%04x", c);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
 
 std::string to_prometheus(const stats::MetricsSnapshot& snap) {
   std::string out;

@@ -47,21 +47,8 @@ void encode_field(wire::Writer& w, const wire::Bytes& field) {
   w.bytes(field);
 }
 
-wire::Bytes decode_field(wire::Reader& r, std::uint8_t length_byte) {
-  std::size_t len = length_byte;
-  if (length_byte == kLengthEscape) {
-    len = r.u32();
-    if (len <= 254) {
-      throw wire::CodecError("VIPER: escaped length not > 254");
-    }
-  }
-  return r.bytes(len);
-}
-
-/// decode_field without the copy: same framing rules (big-endian u32
-/// length escape), returns a view over @p base.  Raw-pointer twin of the
-/// Reader-based decode_field so the router's header decode pays one bounds
-/// check per field instead of one per byte.
+/// Decodes one variable field (big-endian u32 length escape) as a view over
+/// @p base: one bounds check per field instead of one per byte.
 std::span<const std::uint8_t> decode_field_view_raw(
     const std::uint8_t* base, std::size_t avail, std::size_t& pos,
     std::uint8_t length_byte) {
@@ -128,30 +115,6 @@ SRP_HOT_PATH void encode_segment(wire::Writer& w,
   SIRPENT_ENSURES(w.size() - before == segment_wire_size(segment));
 }
 
-SRP_HOT_PATH core::HeaderSegment decode_segment(wire::Reader& r) {
-  [[maybe_unused]] const std::size_t start = r.position();
-  const std::uint8_t info_len = r.u8();
-  const std::uint8_t token_len = r.u8();
-  core::HeaderSegment seg;
-  seg.port = r.u8();
-  const std::uint8_t fp = r.u8();
-  seg.flags = decode_flags(static_cast<std::uint8_t>(fp >> 4));
-  seg.tos.priority = fp & 0x0F;
-  seg.tos.drop_if_blocked = seg.flags.dib;
-  seg.token = decode_field(r, token_len);
-  seg.port_info = decode_field(r, info_len);
-  // Decode must consume exactly what the encoder would produce — the
-  // router's cut-through offset arithmetic depends on it.  (VNT clearing of
-  // port_info below happens after the bytes were consumed.)
-  SIRPENT_ENSURES(r.position() - start == segment_wire_size(seg));
-  if (seg.flags.vnt && !seg.flags.trm) {
-    // "the portInfo field is void ... may still be non-zero if the PortInfo
-    // field is used for padding" — padding is discarded on decode.
-    seg.port_info.clear();
-  }
-  return seg;
-}
-
 SRP_HOT_PATH SegmentView decode_segment_view(
     std::span<const std::uint8_t> bytes, std::size_t offset) {
   if (offset > bytes.size()) {
@@ -177,15 +140,29 @@ SRP_HOT_PATH SegmentView decode_segment_view(
   v.token = decode_field_view_raw(base, avail, pos, token_len);
   v.port_info = decode_field_view_raw(base, avail, pos, info_len);
   v.wire_size = pos;
-  // Same consumption arithmetic as decode_segment — computed before the
-  // VNT padding discard below, which empties the view but not the wire.
+  // Decode must consume exactly what the encoder would produce — the
+  // router's cut-through offset arithmetic depends on it.  Checked before
+  // the VNT padding discard below, which empties the view but not the wire.
   SIRPENT_ENSURES(v.wire_size == 4 + field_wire_size(v.token.size()) +
                                      field_wire_size(v.port_info.size()));
   if (v.flags.vnt && !v.flags.trm) {
-    // Padding is discarded on decode, exactly as decode_segment does.
+    // "the portInfo field is void ... may still be non-zero if the PortInfo
+    // field is used for padding" — padding is discarded on decode.
     v.port_info = {};
   }
   return v;
+}
+
+core::HeaderSegment decode_segment(wire::Reader& r) {
+  const SegmentView v = decode_segment_view(r.unread(), 0);
+  r.skip(v.wire_size);
+  core::HeaderSegment seg;
+  seg.port = v.port;
+  seg.tos = v.tos;
+  seg.flags = v.flags;
+  seg.token.assign(v.token.begin(), v.token.end());
+  seg.port_info.assign(v.port_info.begin(), v.port_info.end());
+  return seg;
 }
 
 SRP_HOT_PATH void append_segment_raw(wire::Bytes& out, std::uint8_t port,

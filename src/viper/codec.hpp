@@ -55,13 +55,14 @@ std::size_t segment_wire_size(std::size_t token_size,
 /// Appends one encoded segment.
 void encode_segment(wire::Writer& w, const core::HeaderSegment& segment);
 
-/// Decodes one segment, advancing the reader.  Throws wire::CodecError on
-/// malformed input.
+/// Decodes one segment, advancing the reader: decode_segment_view plus a
+/// copy of the two variable fields.  Throws wire::CodecError on malformed
+/// input.
 core::HeaderSegment decode_segment(wire::Reader& r);
 
 /// A decoded segment whose variable fields are *views* into the packet
-/// buffer instead of copies — the router's header representation.  Field semantics match decode_segment exactly
-/// (including the VNT padding discard, which leaves `port_info` empty);
+/// buffer instead of copies — the router's header representation.  A VNT
+/// segment's padding is discarded on decode, leaving `port_info` empty;
 /// the spans stay valid only while the underlying buffer does.
 struct SegmentView {
   std::uint8_t port = 0;
@@ -75,8 +76,8 @@ struct SegmentView {
 };
 
 /// Decodes the segment starting at @p offset of @p bytes without copying
-/// its fields.  Byte-for-byte the same acceptance rules as decode_segment;
-/// throws wire::CodecError on malformed input.  Allocation-free.
+/// its fields — the one VIPER segment parser.  Throws wire::CodecError on
+/// malformed input.  Allocation-free.
 SegmentView decode_segment_view(std::span<const std::uint8_t> bytes,
                                 std::size_t offset);
 

@@ -22,8 +22,8 @@ net::TxMeta meta_for(const core::TypeOfService& tos) {
 /// Port field of the packet's next segment, or 0 when the remainder does
 /// not start with a routable segment (e.g. it is the DataLen of a locally
 /// terminating packet).  Used only as the congestion flow key.  The view
-/// decode applies decode_segment's framing rules exactly, so "parses here"
-/// agrees with "parses downstream", and copies nothing.
+/// decode is the parser decode_segment wraps, so "parses here" agrees with
+/// "parses downstream", and copies nothing.
 SRP_HOT_PATH std::uint8_t peek_next_port(const wire::Bytes& bytes,
                                          std::size_t offset) {
   if (offset >= bytes.size()) return 0;

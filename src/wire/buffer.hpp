@@ -65,6 +65,10 @@ class Reader {
   void skip(std::size_t count);
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+  /// The bytes not yet consumed.
+  [[nodiscard]] std::span<const std::uint8_t> unread() const {
+    return data_.subspan(pos_);
+  }
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] bool done() const { return pos_ == data_.size(); }
 

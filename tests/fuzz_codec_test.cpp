@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "core/trailer.hpp"
 #include "sim/random.hpp"
@@ -85,6 +86,34 @@ void drive_receive_pipeline(const wire::Bytes& bytes) {
       }
       return;
     }
+  }
+}
+
+/// Walks @p bytes segment by segment with both decoders — the copying
+/// decode_segment and the router's decode_segment_view — and requires
+/// them to agree on accept/reject, every field and the consumed size.
+void expect_decoders_agree(const wire::Bytes& bytes) {
+  wire::Reader r(bytes);
+  while (!r.done()) {
+    const std::size_t offset = r.position();
+    std::optional<core::HeaderSegment> seg;
+    std::optional<SegmentView> view;
+    try {
+      seg = decode_segment(r);
+    } catch (const wire::CodecError&) {
+    }
+    try {
+      view = decode_segment_view(bytes, offset);
+    } catch (const wire::CodecError&) {
+    }
+    ASSERT_EQ(seg.has_value(), view.has_value()) << "offset " << offset;
+    if (!seg) return;
+    EXPECT_EQ(seg->port, view->port);
+    EXPECT_EQ(seg->tos, view->tos);
+    EXPECT_EQ(seg->flags, view->flags);
+    EXPECT_TRUE(std::ranges::equal(seg->token, view->token));
+    EXPECT_TRUE(std::ranges::equal(seg->port_info, view->port_info));
+    ASSERT_EQ(r.position() - offset, view->wire_size);
   }
 }
 
@@ -195,7 +224,8 @@ TEST(FuzzCodec, MutatedPacketsNeverMisbehave) {
 }
 
 // Campaign 3: unstructured byte soup, dense in the short lengths where
-// every byte is a length/port/flag field.
+// every byte is a length/port/flag field.  Each input also feeds the
+// decoder-parity walk.
 TEST(FuzzCodec, ByteSoupNeverMisbehaves) {
   sim::Rng rng(0xF0223);
   for (int iter = 0; iter < 6000; ++iter) {
@@ -203,6 +233,7 @@ TEST(FuzzCodec, ByteSoupNeverMisbehaves) {
     const std::size_t len =
         rng.chance(0.5) ? rng.uniform_int(0, 16) : rng.uniform_int(0, 512);
     const wire::Bytes junk = random_bytes(rng, len);
+    expect_decoders_agree(junk);
     try {
       drive_receive_pipeline(junk);
     } catch (const wire::CodecError&) {
