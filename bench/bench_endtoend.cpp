@@ -46,7 +46,8 @@ sim::Time run_sirpent(int hops, std::size_t req_bytes,
   });
   dir::IssuedRoute route;
   route.route = chain.route;
-  route.route.segments.back().port_info = viper::encode_endpoint_id(0x5E);
+  const auto id = viper::encode_endpoint_id(0x5E);
+  route.route.segments.back().port_info.assign(id.begin(), id.end());
   route.route.segments.back().flags.vnt = false;
   sim::Time done = -1;
   client->invoke(route, 0x5E, wire::Bytes(req_bytes, 0x11),

@@ -226,7 +226,8 @@ McResult run_agent() {
     hop.flags.vnt = true;
     core::HeaderSegment local;
     local.port = core::kLocalPort;
-    local.port_info = viper::encode_endpoint_id(kAgentEndpoint);
+    const auto id = viper::encode_endpoint_id(kAgentEndpoint);
+    local.port_info.assign(id.begin(), id.end());
     to_agent.segments = {hop, local};
     net.src->send(to_agent, core::encode_agent_payload(payload));
   });

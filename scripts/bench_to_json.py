@@ -10,12 +10,13 @@ engine; then runs bench_header_overhead and records
 its INT_BYTES line (trailer bytes per hop with path telemetry off/on)
 under header.int_*.
 
-The output (default BENCH_PR10.json) is what CI uploads as the per-build
-performance artifact, so the schema is deliberately trivial: one flat
-object, names stable across runs, values in nanoseconds (except the
-byte-valued header.int_* entries).
+The output (default BENCH_CI.json) is what CI uploads as the per-build
+performance artifact and gates against the newest committed
+BENCH_PR<n>.json (check_bench_trend.py BENCH_CI.json).  The schema is
+deliberately trivial: one flat object, names stable across runs, values
+in nanoseconds (except the byte-valued header.int_* entries).
 
-Usage: bench_to_json.py --bindir build/bench [--out BENCH_PR10.json]
+Usage: bench_to_json.py --bindir build/bench [--out BENCH_CI.json]
 """
 
 import argparse
@@ -67,7 +68,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bindir", default="build/bench",
                         help="directory holding the bench binaries")
-    parser.add_argument("--out", default="BENCH_PR10.json",
+    parser.add_argument("--out", default="BENCH_CI.json",
                         help="output JSON path")
     args = parser.parse_args()
 

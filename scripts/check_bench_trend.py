@@ -1,30 +1,36 @@
 #!/usr/bin/env python3
-"""Gate on benchmark trend between committed per-PR artifacts.
+"""Gate a fresh benchmark run against the newest committed per-PR artifact.
 
-Every PR commits its microbenchmark results as BENCH_PR<n>.json (one
-flat {name: ns_per_op} object, written by bench_to_json.py).  This gate
-compares the two newest artifacts and fails if any metric present in
-both regressed by more than the threshold (default 25%):
+A PR that touches a measured path commits its microbenchmark results as
+BENCH_PR<n>.json (one flat {name: ns_per_op} object, written by
+bench_to_json.py).  This gate compares a fresh run (CI writes
+BENCH_CI.json, a name outside the BENCH_PR* glob, so the run is never
+taken for a committed artifact) against the newest committed artifact,
+and fails if any metric present in both regressed by more than the
+threshold (default 25%):
 
   new / old  > 1 + threshold   -> FAIL
 
-The threshold is deliberately loose — the artifacts come from different
-CI machines on different days — but it still catches the failure mode
+The threshold is deliberately loose — the fresh run and the artifact may
+come from different machines — but it still catches the failure mode
 that matters: a change that quietly doubles a hot-path cost and would
 otherwise surface three PRs later as "the benchmarks got slow at some
-point".  Metrics that appear only in the newer artifact (new benchmarks)
-or only in the older one (retired benchmarks) are reported and skipped.
+point".  Metrics that appear only in the fresh run (new benchmarks) or
+only in the artifact (retired benchmarks) are reported and skipped.
 
-Usage: check_bench_trend.py [--dir .] [--threshold 0.25]
+Usage: check_bench_trend.py [--dir .] [--threshold 0.25] BENCH_CI.json
        check_bench_trend.py --self-test
 """
 
 import argparse
+import contextlib
 import glob
+import io
 import json
 import os
 import re
 import sys
+import tempfile
 
 BENCH_RE = re.compile(r"BENCH_PR(\d+)\.json$")
 
@@ -53,17 +59,19 @@ def compare(old, new, threshold):
     return regressions, skipped
 
 
-def run_gate(directory, threshold):
+def load(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def run_gate(directory, threshold, fresh):
     artifacts = find_artifacts(directory)
-    if len(artifacts) < 2:
-        print(f"only {len(artifacts)} BENCH_PR*.json artifact(s) in "
-              f"{directory!r}; nothing to compare")
+    if not artifacts:
+        print(f"no BENCH_PR*.json artifact in {directory!r}; "
+              f"nothing to compare")
         return 0
-    old_path, new_path = artifacts[-2], artifacts[-1]
-    with open(old_path, encoding="utf-8") as handle:
-        old = json.load(handle)
-    with open(new_path, encoding="utf-8") as handle:
-        new = json.load(handle)
+    old_path, new_path = artifacts[-1], fresh
+    old, new = load(old_path), load(new_path)
     print(f"comparing {os.path.basename(old_path)} -> "
           f"{os.path.basename(new_path)} "
           f"({len(set(old) & set(new))} shared metrics, "
@@ -105,6 +113,33 @@ def self_test():
     check("improvement never flagged", {"BM_Fast": 10.0}, [])
     check("new-only metric skipped",
           {"BM_Fast": 100.0, "BM_Brand_New": 9999.0}, [])
+
+    # A fresh run is gated against the newest committed artifact (by PR
+    # number, so PR10 beats PR9), and its own file is never taken for one.
+    with tempfile.TemporaryDirectory() as directory:
+        for name, value in (("BENCH_PR9.json", 1000.0),
+                            ("BENCH_PR10.json", 100.0)):
+            with open(os.path.join(directory, name), "w",
+                      encoding="utf-8") as handle:
+                json.dump({"BM_Fast": value}, handle)
+        fresh = os.path.join(directory, "BENCH_CI.json")
+        for label, value, expect in (("fresh run within threshold", 120.0, 0),
+                                     ("fresh run regression flagged", 130.0,
+                                      1)):
+            with open(fresh, "w", encoding="utf-8") as handle:
+                json.dump({"BM_Fast": value}, handle)
+            skips_fresh = [os.path.basename(p)
+                           for p in find_artifacts(directory)] == [
+                               "BENCH_PR9.json", "BENCH_PR10.json"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                verdict = run_gate(directory, 0.25, fresh)
+            if verdict == expect and skips_fresh:
+                print(f"self-test PASS: {label}")
+            else:
+                failures += 1
+                print(f"self-test FAIL: {label}: gate returned {verdict}, "
+                      f"expected {expect}; BENCH_CI.json skipped by the "
+                      f"artifact glob: {skips_fresh}")
     return 1 if failures else 0
 
 
@@ -114,12 +149,17 @@ def main():
                         help="directory holding BENCH_PR*.json artifacts")
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="max fractional regression (0.25 = 25%%)")
+    parser.add_argument("fresh", nargs="?",
+                        help="a fresh run (e.g. BENCH_CI.json) to gate "
+                             "against the newest committed artifact")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the comparison logic and exit")
     args = parser.parse_args()
     if args.self_test:
         return self_test()
-    return run_gate(args.dir, args.threshold)
+    if args.fresh is None:
+        parser.error("a fresh run (e.g. BENCH_CI.json) is required")
+    return run_gate(args.dir, args.threshold, args.fresh)
 
 
 if __name__ == "__main__":

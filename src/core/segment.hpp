@@ -46,6 +46,16 @@ struct SegmentFlags {
   bool operator==(const SegmentFlags&) const = default;
 };
 
+/// True when a trailer segment with this port and these flags is an
+/// in-band telemetry record: TRM set (never routable), VNT clear (portInfo
+/// carries the payload), and the reserved telemetry port.  Distinct from
+/// the truncation mark, which sets VNT and uses port 0.  The one copy of
+/// the rule, shared by HeaderSegment and the in-place SegmentView.
+[[nodiscard]] inline bool is_telemetry_record(std::uint8_t port,
+                                              const SegmentFlags& flags) {
+  return flags.trm && !flags.vnt && port == kTelemetryPort;
+}
+
 /// One hop of a source route.
 ///
 /// `port_info` is network-specific: on a multi-access network it holds the
@@ -74,12 +84,9 @@ struct HeaderSegment {
     return s;
   }
 
-  /// True when this trailer segment is an in-band telemetry record: TRM
-  /// set (never routable), VNT clear (portInfo carries the payload), and
-  /// the reserved telemetry port.  Distinct from truncation_marker(),
-  /// which sets VNT and uses port 0.
+  /// See core::is_telemetry_record; distinct from truncation_marker().
   [[nodiscard]] bool is_telemetry_record() const {
-    return flags.trm && !flags.vnt && port == kTelemetryPort;
+    return core::is_telemetry_record(port, flags);
   }
 };
 

@@ -211,7 +211,8 @@ IssuedRoute materialize_route(const TopologyDb& topo,
   core::HeaderSegment local;
   local.port = core::kLocalPort;
   if (dest_endpoint != 0) {
-    local.port_info = viper::encode_endpoint_id(dest_endpoint);
+    const auto id = viper::encode_endpoint_id(dest_endpoint);
+    local.port_info.assign(id.begin(), id.end());
   } else {
     local.flags.vnt = true;
   }

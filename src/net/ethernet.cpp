@@ -1,5 +1,6 @@
 #include "net/ethernet.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace srp::net {
@@ -24,11 +25,17 @@ MacAddr MacAddr::broadcast() {
   return m;
 }
 
-void EthernetHeader::encode(wire::Writer& w) const {
-  w.bytes(dst.octets);
-  w.bytes(src.octets);
-  w.u16(ether_type);
+std::array<std::uint8_t, EthernetHeader::kWireSize>
+EthernetHeader::wire_bytes() const {
+  std::array<std::uint8_t, kWireSize> out{};
+  std::copy(dst.octets.begin(), dst.octets.end(), out.begin());
+  std::copy(src.octets.begin(), src.octets.end(), out.begin() + 6);
+  out[12] = static_cast<std::uint8_t>(ether_type >> 8);
+  out[13] = static_cast<std::uint8_t>(ether_type);
+  return out;
 }
+
+void EthernetHeader::encode(wire::Writer& w) const { w.bytes(wire_bytes()); }
 
 EthernetHeader EthernetHeader::decode(wire::Reader& r) {
   EthernetHeader h;

@@ -53,6 +53,8 @@ struct EthernetHeader {
 
   static constexpr std::size_t kWireSize = 14;
 
+  /// The 14 wire octets, for writers that append into their own buffer.
+  [[nodiscard]] std::array<std::uint8_t, kWireSize> wire_bytes() const;
   void encode(wire::Writer& w) const;
   static EthernetHeader decode(wire::Reader& r);
 

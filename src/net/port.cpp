@@ -1,5 +1,6 @@
 #include "net/port.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "check/analysis.hpp"
@@ -12,6 +13,44 @@ FaultHook drop_when(std::function<bool(const Packet&)> predicate) {
                                        sim::Time&) {
     return pred(*packet) ? FaultVerdict::kDrop : FaultVerdict::kPass;
   };
+}
+
+SRP_HOT_PATH void TxQueue::insert_by_rank(QueuedPacket item) {
+  if (size_ == slots_.size()) {
+    // The output queue is the paper's "output buffer space": the ring
+    // allocates only when a backlog exceeds every earlier one.
+    SRP_ALLOC_OK(grow());
+  }
+  // Descending rank, FIFO within a rank: scan from the back, shifting each
+  // lower-rank packet one slot back to open the gap.
+  std::size_t pos = size_;
+  while (pos > 0 && slot(pos - 1).meta.rank < item.meta.rank) {
+    slot(pos) = std::move(slot(pos - 1));
+    --pos;
+  }
+  slot(pos) = std::move(item);
+  ++size_;
+}
+
+SRP_HOT_PATH QueuedPacket TxQueue::pop_front() {
+  SIRPENT_EXPECTS(size_ > 0);
+  QueuedPacket item = std::move(slot(0));
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --size_;
+  return item;
+}
+
+void TxQueue::clear() {
+  for (std::size_t i = 0; i < size_; ++i) slot(i).packet.reset();
+  head_ = 0;
+  size_ = 0;
+}
+
+void TxQueue::grow() {
+  std::vector<QueuedPacket> grown(std::max<std::size_t>(8, 2 * slots_.size()));
+  for (std::size_t i = 0; i < size_; ++i) grown[i] = std::move(slot(i));
+  slots_.swap(grown);
+  head_ = 0;
 }
 
 TxPort::TxPort(sim::Simulator& sim, std::string name, LinkConfig config)
@@ -97,28 +136,17 @@ SRP_HOT_PATH void TxPort::enqueue_unfiltered(PacketPtr packet, TxMeta meta,
   }
   if (on_enqueue) on_enqueue(*item.packet);
   queue_bytes_ += item.packet->size();
-  insert_by_rank(std::move(item));
+  queue_.insert_by_rank(std::move(item));
   notify_queue_change();
   // If idle, the packet still waits for its cut-through bound via the
   // queue head; try_start() decides when it may actually go.
   if (!transmitting_) try_start(sim_.now());
 }
 
-SRP_HOT_PATH void TxPort::insert_by_rank(Queued item) {
-  // Descending rank, FIFO within a rank: scan from the back.
-  auto it = queue_.end();
-  while (it != queue_.begin() && std::prev(it)->meta.rank < item.meta.rank) {
-    --it;
-  }
-  // The output queue is the paper's "output buffer space": buffering a
-  // blocked packet is the deliberate allocation on this path.
-  SRP_ALLOC_OK(queue_.insert(it, std::move(item)));
-}
-
 SRP_HOT_PATH void TxPort::try_start(sim::Time not_before) {
   if (transmitting_ || queue_.empty() || !up_) return;
 
-  Queued& front = queue_.front();
+  const Queued& front = queue_.front();
   const sim::Time start =
       std::max({sim_.now(), not_before, front.earliest_start});
   if (start > sim_.now()) {
@@ -132,8 +160,7 @@ SRP_HOT_PATH void TxPort::try_start(sim::Time not_before) {
     return;
   }
 
-  Queued item = std::move(queue_.front());
-  queue_.pop_front();
+  Queued item = queue_.pop_front();
   SIRPENT_INVARIANT(queue_bytes_ >= item.packet->size());
   queue_bytes_ -= item.packet->size();
   // Start first, notify after: observers of the queue change must see the

@@ -8,10 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -57,6 +58,81 @@ using FaultHook = std::function<FaultVerdict(
 /// the old drop_filter semantics, for targeted loss in tests.
 FaultHook drop_when(std::function<bool(const Packet&)> predicate);
 
+/// A packet waiting at an output port, with its scheduling directives.
+struct QueuedPacket {
+  PacketPtr packet;
+  TxMeta meta;
+  sim::Time enqueue_time = 0;
+  sim::Time earliest_start = 0;  ///< cut-through causality bound
+};
+
+/// The output port's priority queue: descending rank, FIFO within a rank,
+/// held in a ring buffer.  The ring keeps its capacity when it drains and
+/// grows (doubling) only past its high-water mark, so a warm port queues
+/// and dequeues without allocating.
+class TxQueue {
+ public:
+  /// Front-to-back iteration (congestion control scans waiting packets).
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = QueuedPacket;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const QueuedPacket*;
+    using reference = const QueuedPacket&;
+
+    const_iterator() = default;
+    const_iterator(const TxQueue* queue, std::size_t index)
+        : queue_(queue), index_(index) {}
+    reference operator*() const { return (*queue_)[index_]; }
+    pointer operator->() const { return &(*queue_)[index_]; }
+    const_iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++index_;
+      return before;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    const TxQueue* queue_ = nullptr;
+    std::size_t index_ = 0;
+  };
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// Slots allocated; never shrinks.
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+
+  /// The @p i-th waiting packet from the front (0 = next to transmit).
+  [[nodiscard]] const QueuedPacket& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+  [[nodiscard]] const QueuedPacket& front() const { return (*this)[0]; }
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, size_}; }
+
+  /// Inserts behind every packet of equal or higher rank.
+  void insert_by_rank(QueuedPacket item);
+  /// Removes and returns the front packet.  Requires !empty().
+  QueuedPacket pop_front();
+  /// Drops every waiting packet; the capacity stays.
+  void clear();
+
+ private:
+  QueuedPacket& slot(std::size_t i) {
+    return slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+  void grow();
+
+  std::vector<QueuedPacket> slots_;  ///< size() is 0 or a power of two
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// Transmitter of one simplex channel, with a bounded priority queue.
 class TxPort {
  public:
@@ -73,12 +149,7 @@ class TxPort {
     sim::Time busy_time = 0;             ///< cumulative transmitting time
   };
 
-  struct Queued {
-    PacketPtr packet;
-    TxMeta meta;
-    sim::Time enqueue_time = 0;
-    sim::Time earliest_start = 0;  ///< cut-through causality bound
-  };
+  using Queued = QueuedPacket;
 
   TxPort(sim::Simulator& sim, std::string name, LinkConfig config);
 
@@ -113,7 +184,7 @@ class TxPort {
 
   /// Queue introspection — congestion control reads the source routes of
   /// waiting packets to identify upstream feeders (paper §2.2).
-  [[nodiscard]] const std::deque<Queued>& queue() const { return queue_; }
+  [[nodiscard]] const TxQueue& queue() const { return queue_; }
   [[nodiscard]] std::size_t queue_bytes() const { return queue_bytes_; }
   [[nodiscard]] std::size_t queue_packets() const { return queue_.size(); }
 
@@ -150,7 +221,6 @@ class TxPort {
   void start_transmission(Queued item, sim::Time start);
   void complete_transmission();
   void abort_transmission();
-  void insert_by_rank(Queued item);
   void notify_queue_change();
 
   sim::Simulator& sim_;
@@ -160,7 +230,7 @@ class TxPort {
   int peer_in_port_ = 0;
   bool up_ = true;
 
-  std::deque<Queued> queue_;
+  TxQueue queue_;
   std::size_t queue_bytes_ = 0;
   std::size_t buffer_limit_ = std::numeric_limits<std::size_t>::max();
 

@@ -9,6 +9,26 @@
 // full_mask / missing_mask and both step functions now live in
 // transport/txn_core.hpp so the model checker shares them (DESIGN.md §10).
 namespace srp::vmtp {
+namespace {
+
+/// Copies into @p into the part of a delivery that ViperHost::reply reads
+/// — return route, reversed link header, arrival port and flow — reusing
+/// @p into's capacity.  The data, often a kilobyte, stays behind.
+void keep_reply_path(const viper::Delivery& from, viper::Delivery& into) {
+  into.return_route = from.return_route;
+  into.reply_link = from.reply_link;
+  into.in_port = from.in_port;
+  into.flow = from.flow;
+}
+
+/// Remembers the latest packet's reply path for a later NACK.
+void remember_reply_path(std::optional<viper::Delivery>& slot,
+                         const viper::Delivery& delivery) {
+  if (!slot.has_value()) slot.emplace();
+  keep_reply_path(delivery, *slot);
+}
+
+}  // namespace
 
 VmtpEndpoint::VmtpEndpoint(sim::Simulator& sim, viper::ViperHost& host,
                            std::uint64_t entity_id, VmtpConfig config)
@@ -122,44 +142,40 @@ void VmtpEndpoint::send_one(const Header& header, const wire::Bytes& payload,
                             const dir::IssuedRoute* route,
                             const viper::Delivery* reply_via,
                             sim::Time when) {
+  // Sends due now read the caller's route or delivery in place; only a
+  // deferred send copies what it must own until it fires.
   wire::Bytes packet = encode_transport_packet(header, payload);
   if (route != nullptr) {
-    core::SourceRoute source_route = route->route;
     viper::SendOptions options;
     options.tos.priority = config_.priority;
     options.flow = header.transaction;
     options.out_port = route->host_out_port;
     options.link = route->first_hop_link;
-    auto do_send = [this, source_route = std::move(source_route),
-                    packet = std::move(packet), options] {
-      host_.send(source_route, packet, options);
-    };
     if (when <= sim_.now()) {
-      do_send();
-    } else {
-      sim_.at(when, std::move(do_send));
+      host_.send(route->route, packet, options);
+      return;
     }
+    sim_.at(when, [this, source_route = route->route,
+                   packet = std::move(packet), options] {
+      host_.send(source_route, packet, options);
+    });
     return;
   }
   SIRPENT_INVARIANT(reply_via != nullptr);
-  viper::Delivery via = *reply_via;
+  core::TypeOfService tos;
+  tos.priority = config_.priority;
   // Address the reply to the peer's transport entity: Sirpent's local
   // port-0 segment doubles as intra-host addressing (§2.2), so the entity
   // id is the endpoint id at the peer host.
-  if (!via.return_route.segments.empty()) {
-    core::HeaderSegment& last = via.return_route.segments.back();
-    last.port_info = viper::encode_endpoint_id(header.dst_entity);
-    last.flags.vnt = false;
-  }
-  core::TypeOfService tos;
-  tos.priority = config_.priority;
-  auto do_send = [this, via = std::move(via), packet = std::move(packet),
-                  tos] { host_.reply(via, packet, tos); };
+  const std::uint64_t peer = header.dst_entity;
   if (when <= sim_.now()) {
-    do_send();
-  } else {
-    sim_.at(when, std::move(do_send));
+    host_.reply(*reply_via, packet, tos, peer);
+    return;
   }
+  viper::Delivery via;
+  keep_reply_path(*reply_via, via);
+  sim_.at(when, [this, via = std::move(via), packet = std::move(packet), tos,
+                 peer] { host_.reply(via, packet, tos, peer); });
 }
 
 bool VmtpEndpoint::lifetime_ok(const Header& header) {
@@ -279,14 +295,14 @@ void VmtpEndpoint::handle_request_packet(const TransportPacket& packet,
   if (actions.accept) {
     rx.parts[h.index].assign(packet.payload.begin(), packet.payload.end());
   }
-  rx.reply_via = delivery;
 
   if (actions.complete) {
     if (rx.gap_timer != 0) sim_.cancel(rx.gap_timer);
-    complete_request(h.src_entity, h.transaction, rx);
+    complete_request(h.src_entity, h.transaction, rx, delivery);
     inbound_.erase(key);
     return;
   }
+  remember_reply_path(rx.reply_via, delivery);
   if (actions.arm_gap) {
     arm_gap_timer(rx, h.src_entity, h.transaction, PacketType::kRequest);
   }
@@ -294,13 +310,13 @@ void VmtpEndpoint::handle_request_packet(const TransportPacket& packet,
 
 void VmtpEndpoint::complete_request(std::uint64_t peer,
                                     std::uint32_t transaction,
-                                    const GroupRx& rx) {
+                                    const GroupRx& rx,
+                                    const viper::Delivery& via) {
   wire::Bytes request;
   for (const auto& part : rx.parts) {
     request.insert(request.end(), part.begin(), part.end());
   }
   ++stats_.requests_served;
-  const viper::Delivery& via = *rx.reply_via;
   wire::Bytes response =
       handler_ ? handler_(request, via) : wire::Bytes{};
   std::vector<wire::Bytes> parts = split(response);
@@ -352,7 +368,6 @@ void VmtpEndpoint::handle_response_packet(const TransportPacket& packet,
   if (actions.accept) {
     rx.parts[h.index].assign(packet.payload.begin(), packet.payload.end());
   }
-  rx.reply_via = delivery;
 
   if (actions.complete) {
     TxnEvent done;
@@ -363,7 +378,10 @@ void VmtpEndpoint::handle_response_packet(const TransportPacket& packet,
                    TxnState{TxnPhase::kAwaitingResponse, st.retries}, done,
                    &txn_actions);
     st.retries = txn.retries;
-    if (!txn_actions.deliver) return;
+    if (!txn_actions.deliver) {
+      remember_reply_path(rx.reply_via, delivery);
+      return;
+    }
     Result result;
     result.ok = true;
     for (const auto& part : rx.parts) {
@@ -378,6 +396,7 @@ void VmtpEndpoint::handle_response_packet(const TransportPacket& packet,
     finish(h.transaction, std::move(result));
     return;
   }
+  remember_reply_path(rx.reply_via, delivery);
   if (actions.arm_gap) {
     arm_gap_timer(rx, st.server, h.transaction, PacketType::kResponse);
   }

@@ -79,6 +79,8 @@ class VmtpEndpoint {
     std::uint64_t duplicate_requests = 0;
   };
 
+  /// Serves one reassembled request.  @p from is the delivery of the
+  /// packet that completed it, valid only for the duration of the call.
   using RequestHandler = std::function<wire::Bytes(
       std::span<const std::uint8_t> request, const viper::Delivery& from)>;
   using ResponseCallback = std::function<void(Result)>;
@@ -145,7 +147,9 @@ class VmtpEndpoint {
     std::uint32_t received_mask = 0;
     std::uint8_t group_size = 0;
     sim::Time first_at = 0;
-    std::optional<viper::Delivery> reply_via;  ///< latest packet's delivery
+    /// Reply path of the latest packet (keep_reply_path: no data), for
+    /// the gap timer's NACK.
+    std::optional<viper::Delivery> reply_via;
     sim::EventId gap_timer = 0;
   };
 
@@ -196,7 +200,7 @@ class VmtpEndpoint {
   void arm_gap_timer(GroupRx& rx, std::uint64_t peer,
                      std::uint32_t transaction, PacketType kind);
   void complete_request(std::uint64_t peer, std::uint32_t transaction,
-                        const GroupRx& rx);
+                        const GroupRx& rx, const viper::Delivery& via);
   void finish(std::uint32_t transaction, Result result);
 
   void observe_rtt(sim::Time rtt);

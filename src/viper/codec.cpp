@@ -242,26 +242,39 @@ std::vector<core::HeaderSegment> decode_segments(wire::Reader& r) {
   return out;
 }
 
-wire::Bytes encode_packet(const core::SourceRoute& route,
-                          std::span<const std::uint8_t> data) {
+SRP_HOT_PATH wire::Bytes encode_packet(
+    const core::SourceRoute& route, std::span<const std::uint8_t> data,
+    std::span<const std::uint8_t> link_header) {
   if (route.segments.empty() || route.segments.size() > core::kMaxSegments) {
     throw wire::CodecError("VIPER: route length out of range");
   }
   if (data.size() > 0xFFFF) {
     throw wire::CodecError("VIPER: data exceeds 16-bit length");
   }
-  wire::Writer w;
+  std::size_t size = link_header.size() + 2 + data.size();
   for (const auto& seg : route.segments) {
     if (!seg.is_legal()) {
       throw wire::CodecError("VIPER: truncation mark in route");
     }
-    encode_segment(w, seg);
+    size += segment_wire_size(seg);
   }
-  [[maybe_unused]] const std::size_t header_len = w.size();
-  w.u16(static_cast<std::uint16_t>(data.size()));
-  w.bytes(data);
-  SIRPENT_ENSURES(w.size() == header_len + 2 + data.size());
-  return std::move(w).take();
+  wire::Bytes image;
+  // SRP_ALLOC_OK(the packet's one buffer, sized exactly; every append
+  // below stays within it)
+  image.reserve(size);
+  SRP_ALLOC_OK(image.insert(image.end(), link_header.begin(),
+                            link_header.end()));
+  for (const auto& seg : route.segments) {
+    append_segment_raw(image, seg.port, seg.tos, seg.flags, seg.token,
+                       seg.port_info);
+  }
+  const std::uint8_t data_len[2] = {
+      static_cast<std::uint8_t>(data.size() >> 8),
+      static_cast<std::uint8_t>(data.size())};
+  SRP_ALLOC_OK(image.insert(image.end(), data_len, data_len + 2));
+  SRP_ALLOC_OK(image.insert(image.end(), data.begin(), data.end()));
+  SIRPENT_ENSURES(image.size() == size);
+  return image;
 }
 
 DeliveredBody decode_delivered_body(wire::Reader& r) {

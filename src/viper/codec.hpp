@@ -73,6 +73,9 @@ struct SegmentView {
   std::size_t wire_size = 0;  ///< encoded size of this segment
 
   [[nodiscard]] bool is_legal() const { return !flags.trm; }
+  [[nodiscard]] bool is_telemetry_record() const {
+    return core::is_telemetry_record(port, flags);
+  }
 };
 
 /// Decodes the segment starting at @p offset of @p bytes without copying
@@ -107,11 +110,15 @@ wire::Bytes encode_route(const core::SourceRoute& route);
 /// trailers).
 std::vector<core::HeaderSegment> decode_segments(wire::Reader& r);
 
-/// Builds the body of a fresh VIPER packet: route + DataLen + data, with an
-/// empty trailer.  Throws if the route is too long (core::kMaxSegments) or
-/// the data exceeds the 16-bit length field.
+/// Builds the image of a fresh VIPER packet: @p link_header (empty unless
+/// the first hop is a LAN), route, DataLen and data, with an empty
+/// trailer.  The image is sized once and written in place, so it costs one
+/// allocation.  Throws if the route is empty or too long
+/// (core::kMaxSegments), holds a truncation mark, or the data exceeds the
+/// 16-bit length field.
 wire::Bytes encode_packet(const core::SourceRoute& route,
-                          std::span<const std::uint8_t> data);
+                          std::span<const std::uint8_t> data,
+                          std::span<const std::uint8_t> link_header = {});
 
 /// What an end host sees after consuming the final (local) segment.
 struct DeliveredBody {

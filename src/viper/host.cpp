@@ -1,6 +1,7 @@
 #include "viper/host.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "check/analysis.hpp"
 #include "check/contract.hpp"
@@ -59,18 +60,17 @@ void ViperHost::set_observer(const obs::Observer& observer) {
   for (int p = 1; p <= port_count(); ++p) port(p).set_observer(observer);
 }
 
-std::uint64_t ViperHost::send(const core::SourceRoute& route,
-                              std::span<const std::uint8_t> data,
-                              const SendOptions& options) {
-  wire::Writer w;
+SRP_HOT_PATH std::uint64_t ViperHost::send(
+    const core::SourceRoute& route, std::span<const std::uint8_t> data,
+    const SendOptions& options) {
+  std::array<std::uint8_t, net::EthernetHeader::kWireSize> link{};
+  std::span<const std::uint8_t> link_header;
   if (options.link.has_value()) {
-    options.link->encode(w);
+    link = options.link->wire_bytes();
+    link_header = link;
   }
-  wire::Bytes body = encode_packet(route, data);
-  w.bytes(body);
-
-  net::PacketPtr packet =
-      packets_.make(std::move(w).take(), sim_.now(), options.flow);
+  net::PacketPtr packet = packets_.make(
+      encode_packet(route, data, link_header), sim_.now(), options.flow);
   const std::uint64_t id = packet->id;
   // Mint the trace context at the origin: the packet id is already unique
   // per simulation, so it doubles as the trace id.
@@ -97,19 +97,27 @@ std::uint64_t ViperHost::send(const core::SourceRoute& route,
 
 std::uint64_t ViperHost::reply(const Delivery& delivery,
                                std::span<const std::uint8_t> data,
-                               core::TypeOfService tos) {
-  core::SourceRoute route = delivery.return_route;
-  for (auto& seg : route.segments) {
+                               core::TypeOfService tos,
+                               std::optional<std::uint64_t> endpoint) {
+  // Rewritten in a host-owned route whose segments keep their capacity.
+  reply_route_.segments = delivery.return_route.segments;
+  for (auto& seg : reply_route_.segments) {
     seg.tos.priority = tos.priority;
     seg.tos.drop_if_blocked = tos.drop_if_blocked;
     seg.flags.dib = tos.drop_if_blocked;
+  }
+  if (endpoint.has_value() && !reply_route_.segments.empty()) {
+    core::HeaderSegment& last = reply_route_.segments.back();
+    const auto id = encode_endpoint_id(*endpoint);
+    last.port_info.assign(id.begin(), id.end());
+    last.flags.vnt = false;
   }
   SendOptions options;
   options.tos = tos;
   options.flow = delivery.flow;
   options.out_port = delivery.in_port;
   options.link = delivery.reply_link;
-  return send(route, data, options);
+  return send(reply_route_, data, options);
 }
 
 SRP_SIM_VISIBLE void ViperHost::on_arrival(const net::Arrival& arrival) {
@@ -117,71 +125,219 @@ SRP_SIM_VISIBLE void ViperHost::on_arrival(const net::Arrival& arrival) {
   sim_.at(arrival.tail, [this, arrival] { process(arrival); });
 }
 
-void ViperHost::process(const net::Arrival& arrival) {
-  const net::Packet& packet = *arrival.packet;
-  std::optional<net::EthernetHeader> link;
-  core::HeaderSegment local_seg;
-  DeliveredBody body;
+namespace {
+
+/// Copies one trailer entry into a return-route slot, reusing the slot's
+/// field capacity.  RPF marks the hop as part of a returning packet.
+void assign_return_hop(core::HeaderSegment& hop, const SegmentView& entry) {
+  hop.port = entry.port;
+  hop.tos = entry.tos;
+  hop.flags = entry.flags;
+  hop.flags.rpf = true;
+  hop.token.assign(entry.token.begin(), entry.token.end());
+  hop.port_info.assign(entry.port_info.begin(), entry.port_info.end());
+}
+
+/// What parse_delivery() made of an arrival's bytes.
+struct ParsedArrival {
+  enum class Verdict : std::uint8_t {
+    kAccepted,   ///< parsed; the Delivery is filled
+    kMisrouted,  ///< the first segment is not a legal local segment
+    kMalformed,  ///< the bytes do not parse
+  };
+  Verdict verdict = Verdict::kMalformed;
+  /// Endpoint id of the local segment (kAccepted only).
+  std::optional<std::uint64_t> endpoint;
+  /// Telemetry records whose payload did not decode (kAccepted only).
+  std::size_t telemetry_decode_errors = 0;
+};
+
+/// The host receive parser, the one path every arrival takes.  Parses the
+/// wire image in place — the link header when @p lan_framed, the local
+/// segment, DataLen, data and trailer, all with decode_segment_view — and
+/// on acceptance fills @p out's `data`, `return_route` (trailer entries
+/// reversed ahead of an RPF local segment), `reply_link`, `truncated`
+/// (trailer marks only) and `path`, reusing their capacity.  A cut packet
+/// keeps the data that arrived, less a trailing truncation mark if one
+/// survived.  It accepts and rejects exactly what the copying reference
+/// (decode_segment, decode_delivered_body, core::classify_trailer,
+/// core::build_return_route) does, with the same results
+/// (FuzzCodec.HostReceiveMatchesReference).  Other fields of @p out are
+/// left alone; after a rejection @p out holds garbage.
+SRP_HOT_PATH ParsedArrival parse_delivery(std::span<const std::uint8_t> bytes,
+                                          bool lan_framed, Delivery& out) {
+  ParsedArrival result;
+  std::size_t entries = 0;
+  bool marked_truncated = false;
+  std::vector<core::HeaderSegment>& route = out.return_route.segments;
+  std::span<const std::uint8_t> trailer;
+  out.path.clear();
+  // Files one trailer segment: a telemetry record joins the path, a
+  // truncation mark sets the flag, anything else is a return-route entry
+  // (in append order until the reversal below).
+  const auto classify = [&](const SegmentView& seg) {
+    if (seg.is_telemetry_record()) {
+      // A telemetry record shares the TRM bit (it must never be routable)
+      // but does NOT mean the packet was truncated.
+      const auto hop = obs::decode_hop_telemetry(seg.port_info);
+      if (hop.has_value()) {
+        SRP_ALLOC_OK(out.path.push_back(*hop));
+      } else {
+        ++result.telemetry_decode_errors;
+      }
+    } else if (seg.flags.trm) {
+      marked_truncated = true;
+    } else {
+      if (entries == route.size()) {
+        // SRP_ALLOC_OK(a return route longer than any before it)
+        route.emplace_back();
+      }
+      assign_return_hop(route[entries++], seg);
+    }
+  };
   try {
-    wire::Reader r(packet.bytes);
-    if (port_kind(arrival.in_port) == PortKind::kLan) {
-      link = net::EthernetHeader::decode(r);
+    std::size_t offset = 0;
+    out.reply_link.reset();
+    if (lan_framed) {
+      wire::Reader r(bytes);
+      out.reply_link = net::EthernetHeader::decode(r).reversed();
+      offset = r.position();
     }
-    local_seg = decode_segment(r);
-    if (local_seg.port != core::kLocalPort || !local_seg.is_legal()) {
-      ++stats_.misrouted;
-      return;
+    const SegmentView local = decode_segment_view(bytes, offset);
+    if (local.port != core::kLocalPort || !local.is_legal()) {
+      result.verdict = ParsedArrival::Verdict::kMisrouted;
+      return result;
     }
-    body = decode_delivered_body(r);
+    result.endpoint = decode_endpoint_id(local.port_info);
+    offset += local.wire_size;
+
+    // [DataLen][Data][Trailer...]
+    if (bytes.size() - offset < 2) {
+      throw wire::CodecError("VIPER: truncated data length");
+    }
+    const std::size_t data_len =
+        static_cast<std::size_t>(bytes[offset]) << 8 | bytes[offset + 1];
+    const std::span<const std::uint8_t> rest = bytes.subspan(offset + 2);
+    if (rest.size() >= data_len) {
+      trailer = rest.subspan(data_len);
+      std::size_t at = 0;
+      while (at < trailer.size()) {
+        const SegmentView seg = decode_segment_view(trailer, at);
+        at += seg.wire_size;
+        classify(seg);
+      }
+      SIRPENT_INVARIANT(at == trailer.size());
+      // SRP_ALLOC_OK(into the delivery's capacity, warm after the largest
+      // packet so far)
+      out.data.assign(rest.begin(), rest.begin() + data_len);
+      SIRPENT_ENSURES(out.data.size() == data_len);
+    } else {
+      // Cut in flight: the data is short.  A truncating router appends a
+      // 4-byte TRM segment after the cut; recover it if present so the
+      // receiver sees an explicit truncation mark.
+      std::size_t kept = rest.size();
+      if (kept >= 4) {
+        try {
+          const SegmentView mark = decode_segment_view(rest.last(4), 0);
+          if (mark.flags.trm) {
+            classify(mark);
+            kept -= 4;
+            trailer = rest.last(4);
+          }
+        } catch (const wire::CodecError&) {
+          // Tail does not parse as a mark: leave the bytes as data.
+        }
+      }
+      // SRP_ALLOC_OK(into the delivery's capacity, as above)
+      out.data.assign(rest.begin(), rest.begin() + kept);
+    }
   } catch (const wire::CodecError&) {
-    ++stats_.dropped_malformed;
-    // A marked packet too damaged to parse still carries its postcard:
-    // the last telemetry record names where it was last intact.
-    if (packet.telemetry && collector_ != nullptr) {
-      collector_->on_malformed_arrival(packet.bytes);
-    }
-    return;
+    result.verdict = ParsedArrival::Verdict::kMalformed;
+    return result;
   }
 
-  const auto endpoint = decode_endpoint_id(local_seg.port_info);
+  // The return route: the last router's entry becomes the first return
+  // hop, and a local segment marked RPF ends it at the origin host.
+  // Shrinking drops only slots a longer earlier route left behind.
+  SRP_ALLOC_OK(route.resize(entries + 1));
+  std::reverse(route.begin(), route.begin() + static_cast<std::ptrdiff_t>(
+                                                  entries));
+  core::HeaderSegment& local = route[entries];
+  local.port = core::kLocalPort;
+  local.tos = {};
+  local.flags = {};
+  local.flags.vnt = true;
+  local.flags.rpf = true;
+  local.token.clear();
+  local.port_info.clear();
+  // Reversal round trip: hop i of the return route is trailer entry n-1-i
+  // with RPF set and everything else (port, token, port_info) verbatim —
+  // the paper's "entirely network-independent" reversal.
+  SIRPENT_ENSURES([&] {
+    std::size_t k = 0;
+    for (std::size_t at = 0; at < trailer.size();) {
+      const SegmentView seg = decode_segment_view(trailer, at);
+      at += seg.wire_size;
+      if (seg.flags.trm) continue;
+      if (k == entries) return false;
+      const core::HeaderSegment& hop = route[entries - 1 - k++];
+      core::SegmentFlags flags = seg.flags;
+      flags.rpf = true;
+      if (hop.port != seg.port || hop.tos != seg.tos || hop.flags != flags ||
+          !std::ranges::equal(hop.token, seg.token) ||
+          !std::ranges::equal(hop.port_info, seg.port_info)) {
+        return false;
+      }
+    }
+    return k == entries && route[entries].port == core::kLocalPort &&
+           route[entries].flags.rpf;
+  }());
+  out.truncated = marked_truncated;
+  // Hop order — not trailer position — orders the path.
+  std::sort(out.path.begin(), out.path.end(),
+            [](const obs::HopTelemetry& a, const obs::HopTelemetry& b) {
+              return a.hop < b.hop;
+            });
+  result.verdict = ParsedArrival::Verdict::kAccepted;
+  return result;
+}
+
+}  // namespace
+
+void ViperHost::process(const net::Arrival& arrival) {
+  const net::Packet& packet = *arrival.packet;
+  const ParsedArrival parsed = parse_delivery(
+      packet.bytes, port_kind(arrival.in_port) == PortKind::kLan, delivery_);
+  switch (parsed.verdict) {
+    case ParsedArrival::Verdict::kAccepted:
+      break;
+    case ParsedArrival::Verdict::kMisrouted:
+      ++stats_.misrouted;
+      return;
+    case ParsedArrival::Verdict::kMalformed:
+      ++stats_.dropped_malformed;
+      // A marked packet too damaged to parse still carries its postcard:
+      // the last telemetry record names where it was last intact.
+      if (packet.telemetry && collector_ != nullptr) {
+        collector_->on_malformed_arrival(packet.bytes);
+      }
+      return;
+  }
+  const std::optional<std::uint64_t>& endpoint = parsed.endpoint;
 
   if (endpoint.has_value() && *endpoint == kControlEndpoint) {
     ++stats_.control_received;
-    if (control_handler_) {
-      control_handler_(std::move(body.data), arrival.in_port);
-    }
+    if (control_handler_) control_handler_(delivery_.data, arrival.in_port);
     return;
   }
 
-  core::TrailerInfo trailer = core::classify_trailer(std::move(body.trailer));
-  Delivery delivery;
-  delivery.data = std::move(body.data);
-  std::size_t telemetry_decode_errors = 0;
-  if (!trailer.telemetry.empty()) {
-    // Decode the in-band records.  Hop order — not trailer position —
-    // orders the path.
-    delivery.path.reserve(trailer.telemetry.size());
-    for (const core::HeaderSegment& rec : trailer.telemetry) {
-      const auto hop = obs::decode_hop_telemetry(rec.port_info);
-      if (hop.has_value()) {
-        delivery.path.push_back(*hop);
-      } else {
-        ++telemetry_decode_errors;
-      }
-    }
-    std::sort(delivery.path.begin(), delivery.path.end(),
-              [](const obs::HopTelemetry& a, const obs::HopTelemetry& b) {
-                return a.hop < b.hop;
-              });
-  }
-  delivery.return_route = core::build_return_route(trailer.entries);
+  Delivery& delivery = delivery_;
   // A reply along this route must terminate at the origin host's local
   // port, marked RPF so routers honour reverse-charged tokens.
   SIRPENT_ENSURES(!delivery.return_route.empty() &&
                   delivery.return_route.segments.back().port ==
                       core::kLocalPort);
-  if (link.has_value()) delivery.reply_link = link->reversed();
-  delivery.truncated = trailer.truncated || packet.effectively_truncated();
+  delivery.truncated = delivery.truncated || packet.effectively_truncated();
   delivery.endpoint = endpoint.value_or(0);
   delivery.packet_id = packet.id;
   delivery.flow = packet.flow;
@@ -216,7 +372,8 @@ void ViperHost::process(const net::Arrival& arrival) {
     meta.sent_at = delivery.sent_at;
     meta.delivered_at = delivery.delivered_at;
     meta.truncated = delivery.truncated;
-    collector_->on_delivery(meta, delivery.path, telemetry_decode_errors);
+    collector_->on_delivery(meta, delivery.path,
+                            parsed.telemetry_decode_errors);
   }
 
   if (endpoint.has_value()) {

@@ -22,6 +22,11 @@ namespace srp::viper {
 /// A packet delivered to an end host, with everything the higher layers
 /// need: the data, the network-independently reversed return route, the
 /// link header for the first return hop, and truncation status.
+///
+/// ViperHost hands its handlers a reference to one host-owned Delivery
+/// that it refills, keeping its capacity, for every arrival: the
+/// reference is valid only for the duration of the handler call.  A
+/// handler that needs any of it later copies it.
 struct Delivery {
   wire::Bytes data;
   core::SourceRoute return_route;  ///< trailer reversed + local segment
@@ -97,10 +102,13 @@ class ViperHost : public net::PortedNode {
                      std::span<const std::uint8_t> data,
                      const SendOptions& options = {});
 
-  /// Sends @p data back along a received packet's return route.
+  /// Sends @p data back along a received packet's return route.  With
+  /// @p endpoint set, the reply's local segment addresses that endpoint
+  /// id at the origin host instead of its dispatcher.
   std::uint64_t reply(const Delivery& delivery,
                       std::span<const std::uint8_t> data,
-                      core::TypeOfService tos = {});
+                      core::TypeOfService tos = {},
+                      std::optional<std::uint64_t> endpoint = std::nullopt);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -132,6 +140,12 @@ class ViperHost : public net::PortedNode {
   Handler default_handler_;
   ControlHandler control_handler_;
   Stats stats_;
+
+  // Reused per packet, so a warm host receives and replies without
+  // allocating: the delivery handed to handlers and the route reply()
+  // rewrites.
+  Delivery delivery_;
+  core::SourceRoute reply_route_;
 
   // Observability handles, resolved once by set_observer(); null = off.
   stats::Histogram* obs_e2e_latency_ = nullptr;

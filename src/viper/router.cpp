@@ -35,13 +35,16 @@ SRP_HOT_PATH std::uint8_t peek_next_port(const wire::Bytes& bytes,
   }
 }
 
-wire::Bytes encode_endpoint_id(std::uint64_t id) {
-  wire::Writer w(8);
-  w.u64(id);
-  return std::move(w).take();
+std::array<std::uint8_t, 8> encode_endpoint_id(std::uint64_t id) {
+  std::array<std::uint8_t, 8> out{};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(id >> (56 - 8 * i));
+  }
+  return out;
 }
 
-std::optional<std::uint64_t> decode_endpoint_id(const wire::Bytes& info) {
+std::optional<std::uint64_t> decode_endpoint_id(
+    std::span<const std::uint8_t> info) {
   if (info.size() != 8) return std::nullopt;
   wire::Reader r(info);
   return r.u64();
@@ -684,7 +687,8 @@ void ViperRouter::send_control(int port_index,
   core::HeaderSegment seg;
   seg.port = core::kLocalPort;
   seg.tos.priority = priority;
-  seg.port_info = encode_endpoint_id(kControlEndpoint);
+  const auto id = encode_endpoint_id(kControlEndpoint);
+  seg.port_info.assign(id.begin(), id.end());
   route.segments.push_back(std::move(seg));
 
   auto packet = std::make_shared<net::Packet>();

@@ -348,9 +348,11 @@ class ViperRouter : public net::PortedNode {
   obs::FlowSink* obs_flow_ = nullptr;  // scoped to this router's name
 };
 
-/// 8-byte local endpoint id carried in a port-0 segment's portInfo.
-wire::Bytes encode_endpoint_id(std::uint64_t id);
-std::optional<std::uint64_t> decode_endpoint_id(const wire::Bytes& info);
+/// 8-byte local endpoint id carried in a port-0 segment's portInfo
+/// (big-endian).  Callers assign it into the segment's own buffer.
+std::array<std::uint8_t, 8> encode_endpoint_id(std::uint64_t id);
+std::optional<std::uint64_t> decode_endpoint_id(
+    std::span<const std::uint8_t> info);
 
 /// Well-known control endpoint present on every router and host.
 inline constexpr std::uint64_t kControlEndpoint = 0xC0'00'00'00'00'00'00'01ULL;

@@ -10,10 +10,13 @@
 // in the decode→encode path fails the test run.
 //
 // Everything is seeded: a failure reproduces from the iteration number
-// alone.  Three campaigns:
+// alone.  Four campaigns:
 //   1. structured-random packets  — valid routes/data, full round trip
 //   2. mutation fuzz             — valid packets damaged in targeted ways
 //   3. byte-soup fuzz            — unstructured random streams
+//   4. host receive parity       — delivered images (trailers with marks
+//      and telemetry, LAN framing, cut data), intact and damaged, through
+//      ViperHost against the copying reference decoders
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,8 +24,11 @@
 #include <optional>
 
 #include "core/trailer.hpp"
+#include "net/ethernet.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/random.hpp"
 #include "viper/codec.hpp"
+#include "viper/host.hpp"
 
 namespace srp::viper {
 namespace {
@@ -115,6 +121,206 @@ void expect_decoders_agree(const wire::Bytes& bytes) {
     EXPECT_TRUE(std::ranges::equal(seg->port_info, view->port_info));
     ASSERT_EQ(r.position() - offset, view->wire_size);
   }
+}
+
+/// What the copying reference pipeline makes of a wire image arriving at
+/// a host: decode_segment for the local segment, decode_delivered_body,
+/// core::classify_trailer and core::build_return_route.
+struct ReferenceReceive {
+  enum class Verdict { kAccepted, kMisrouted, kMalformed };
+  Verdict verdict = Verdict::kMalformed;
+  Delivery delivery;  ///< data, return_route, reply_link, truncated, path
+  std::optional<std::uint64_t> endpoint;
+  std::uint64_t telemetry_decode_errors = 0;
+};
+
+ReferenceReceive reference_receive(const wire::Bytes& bytes, bool lan) {
+  ReferenceReceive out;
+  std::optional<net::EthernetHeader> link;
+  core::HeaderSegment local;
+  DeliveredBody body;
+  try {
+    wire::Reader r(bytes);
+    if (lan) link = net::EthernetHeader::decode(r);
+    local = decode_segment(r);
+    if (local.port != core::kLocalPort || !local.is_legal()) {
+      out.verdict = ReferenceReceive::Verdict::kMisrouted;
+      return out;
+    }
+    body = decode_delivered_body(r);
+  } catch (const wire::CodecError&) {
+    return out;
+  }
+  out.verdict = ReferenceReceive::Verdict::kAccepted;
+  out.endpoint = decode_endpoint_id(local.port_info);
+  const core::TrailerInfo trailer =
+      core::classify_trailer(std::move(body.trailer));
+  Delivery& d = out.delivery;
+  d.data = std::move(body.data);
+  for (const core::HeaderSegment& rec : trailer.telemetry) {
+    const auto hop = obs::decode_hop_telemetry(rec.port_info);
+    if (hop.has_value()) {
+      d.path.push_back(*hop);
+    } else {
+      ++out.telemetry_decode_errors;
+    }
+  }
+  std::sort(d.path.begin(), d.path.end(),
+            [](const obs::HopTelemetry& a, const obs::HopTelemetry& b) {
+              return a.hop < b.hop;
+            });
+  d.return_route = core::build_return_route(trailer.entries);
+  if (link.has_value()) d.reply_link = link->reversed();
+  d.truncated = trailer.truncated;
+  return out;
+}
+
+/// A host with a point-to-point port (1) and a LAN port (2) fed raw
+/// arrivals; it keeps a copy of the last delivery its handler saw.  Every
+/// arrival carries the telemetry mark so a collector counts undecodable
+/// records.
+struct ReceiveHarness {
+  sim::Simulator sim;
+  net::PacketFactory packets;
+  obs::PathCollector collector{nullptr, nullptr};
+  ViperHost host{sim, "h.fuzz", packets};
+  std::optional<Delivery> got;
+
+  ReceiveHarness() {
+    host.add_port(net::LinkConfig{});
+    host.add_port(net::LinkConfig{});
+    host.set_port_kind(2, PortKind::kLan);
+    host.set_path_telemetry(&collector, 1, 0);
+    host.set_default_handler([this](const Delivery& d) { got = d; });
+  }
+
+  void receive(const wire::Bytes& bytes, bool lan) {
+    net::Arrival arrival;
+    arrival.packet = packets.make(bytes, sim.now());
+    arrival.packet->telemetry = true;
+    arrival.in_port = lan ? 2 : 1;
+    arrival.head = sim.now();
+    arrival.tail = sim.now() + 1;
+    got.reset();
+    host.on_arrival(arrival);
+    sim.run();
+  }
+};
+
+/// Feeds @p bytes to the harness host and requires the outcome to match
+/// the reference pipeline: the same accept/reject verdict, and on
+/// acceptance the same data, return route, reply link, truncation flag,
+/// endpoint and telemetry path.  Returns the verdict.
+ReferenceReceive::Verdict expect_receive_matches_reference(
+    ReceiveHarness& h, const wire::Bytes& bytes, bool lan) {
+  const ReferenceReceive want = reference_receive(bytes, lan);
+  const ViperHost::Stats before = h.host.stats();
+  const std::uint64_t errors_before = h.collector.totals().decode_errors;
+  h.receive(bytes, lan);
+  const ViperHost::Stats& after = h.host.stats();
+  switch (want.verdict) {
+    case ReferenceReceive::Verdict::kMalformed:
+      EXPECT_EQ(after.dropped_malformed, before.dropped_malformed + 1);
+      EXPECT_FALSE(h.got.has_value());
+      return want.verdict;
+    case ReferenceReceive::Verdict::kMisrouted:
+      EXPECT_EQ(after.misrouted, before.misrouted + 1);
+      EXPECT_FALSE(h.got.has_value());
+      return want.verdict;
+    case ReferenceReceive::Verdict::kAccepted:
+      break;
+  }
+  if (want.endpoint == kControlEndpoint) {
+    EXPECT_EQ(after.control_received, before.control_received + 1);
+    return want.verdict;
+  }
+  EXPECT_EQ(after.delivered, before.delivered + 1);
+  if (!h.got.has_value()) {
+    ADD_FAILURE() << "the reference accepts, the host delivered nothing";
+    return want.verdict;
+  }
+  const Delivery& got = *h.got;
+  EXPECT_EQ(got.data, want.delivery.data);
+  EXPECT_EQ(got.return_route, want.delivery.return_route);
+  EXPECT_EQ(got.reply_link, want.delivery.reply_link);
+  EXPECT_EQ(got.truncated, want.delivery.truncated);
+  EXPECT_EQ(got.endpoint, want.endpoint.value_or(0));
+  EXPECT_EQ(got.path, want.delivery.path);
+  EXPECT_EQ(h.collector.totals().decode_errors - errors_before,
+            want.telemetry_decode_errors);
+  return want.verdict;
+}
+
+/// A trailer record as routers append it: a return entry (a random legal
+/// segment), a truncation mark, or an in-band telemetry record — mostly
+/// well formed, sometimes with a payload that does not decode.
+core::HeaderSegment random_trailer_record(sim::Rng& rng) {
+  switch (rng.uniform_int(0, 9)) {
+    case 0:
+    case 1:
+      return core::HeaderSegment::truncation_marker();
+    case 2:
+    case 3: {
+      core::HeaderSegment rec;
+      rec.port = core::kTelemetryPort;
+      rec.flags.trm = true;
+      if (rng.chance(0.2)) {
+        rec.port_info = random_bytes(rng, rng.uniform_int(0, 40));
+        return rec;
+      }
+      obs::HopTelemetry hop;
+      hop.router_id = static_cast<std::uint32_t>(rng.uniform_int(1, 1000));
+      hop.hop = static_cast<std::uint8_t>(rng.uniform_int(0, 8));
+      hop.egress_port = static_cast<std::uint8_t>(rng.uniform_int(1, 8));
+      hop.arrival_ps = rng.uniform_int(0, 1'000'000);
+      hop.depart_ps = hop.arrival_ps + rng.uniform_int(0, 1000);
+      rec.port_info.resize(obs::kHopTelemetryWire);
+      hop.encode(rec.port_info);
+      return rec;
+    }
+    default:
+      return random_segment(rng, rng.chance(0.05));
+  }
+}
+
+/// A wire image as it reaches its destination host: an optional LAN
+/// header, the local segment, DataLen, data and a trailer of random
+/// records.  One in five is cut inside the data instead, usually with the
+/// 4-byte truncation mark a truncating router appends after the cut.
+wire::Bytes random_delivered_image(sim::Rng& rng, bool lan) {
+  wire::Writer w;
+  if (lan) {
+    net::EthernetHeader{
+        net::MacAddr::from_index(
+            static_cast<std::uint16_t>(rng.uniform_int(1, 500))),
+        net::MacAddr::from_index(
+            static_cast<std::uint16_t>(rng.uniform_int(1, 500))),
+        net::kEtherTypeSirpent}
+        .encode(w);
+  }
+  core::HeaderSegment local;
+  local.port = core::kLocalPort;
+  if (rng.chance(0.5)) {
+    local.port_info = random_bytes(rng, 8);
+  } else {
+    local.flags.vnt = true;
+  }
+  encode_segment(w, local);
+  const wire::Bytes data = random_bytes(rng, rng.uniform_int(0, 300));
+  w.u16(static_cast<std::uint16_t>(data.size()));
+  if (rng.chance(0.2)) {
+    w.bytes(std::span(data).first(rng.uniform_int(0, data.size())));
+    if (rng.chance(0.7)) {
+      encode_segment(w, core::HeaderSegment::truncation_marker());
+    }
+    return std::move(w).take();
+  }
+  w.bytes(data);
+  const std::size_t records = rng.uniform_int(0, 10);
+  for (std::size_t i = 0; i < records; ++i) {
+    encode_segment(w, random_trailer_record(rng));
+  }
+  return std::move(w).take();
 }
 
 // Campaign 1: structured-random packets survive a bit-exact decode→encode
@@ -225,15 +431,17 @@ TEST(FuzzCodec, MutatedPacketsNeverMisbehave) {
 
 // Campaign 3: unstructured byte soup, dense in the short lengths where
 // every byte is a length/port/flag field.  Each input also feeds the
-// decoder-parity walk.
+// decoder-parity walk and the host receive parity check.
 TEST(FuzzCodec, ByteSoupNeverMisbehaves) {
   sim::Rng rng(0xF0223);
+  ReceiveHarness harness;
   for (int iter = 0; iter < 6000; ++iter) {
     SCOPED_TRACE(iter);
     const std::size_t len =
         rng.chance(0.5) ? rng.uniform_int(0, 16) : rng.uniform_int(0, 512);
     const wire::Bytes junk = random_bytes(rng, len);
     expect_decoders_agree(junk);
+    expect_receive_matches_reference(harness, junk, iter % 2 == 1);
     try {
       drive_receive_pipeline(junk);
     } catch (const wire::CodecError&) {
@@ -258,6 +466,66 @@ TEST(FuzzCodec, TrailerSoupNeverMisbehaves) {
       // clean rejection
     }
   }
+}
+
+// Campaign 4: host receive parity.  Delivered images — trailers mixing
+// return entries, truncation marks and telemetry records, LAN framing,
+// data cut in flight — go through ViperHost intact and then damaged, and
+// every outcome must match the copying reference.  One host serves the
+// whole campaign, so each delivery also reuses the state the previous one
+// left behind.
+TEST(FuzzCodec, HostReceiveMatchesReference) {
+  sim::Rng rng(0xF0226);
+  ReceiveHarness harness;
+  int accepted = 0;
+  int misrouted = 0;
+  int malformed = 0;
+  int truncated = 0;
+  int with_path = 0;
+  const auto tally = [&](ReferenceReceive::Verdict verdict) {
+    switch (verdict) {
+      case ReferenceReceive::Verdict::kAccepted:
+        ++accepted;
+        if (harness.got.has_value()) {
+          truncated += harness.got->truncated ? 1 : 0;
+          with_path += harness.got->path.empty() ? 0 : 1;
+        }
+        break;
+      case ReferenceReceive::Verdict::kMisrouted:
+        ++misrouted;
+        break;
+      case ReferenceReceive::Verdict::kMalformed:
+        ++malformed;
+        break;
+    }
+  };
+  for (int iter = 0; iter < 3000; ++iter) {
+    SCOPED_TRACE(iter);
+    const bool lan = rng.chance(0.3);
+    wire::Bytes image = random_delivered_image(rng, lan);
+    tally(expect_receive_matches_reference(harness, image, lan));
+    if (image.empty()) continue;
+    switch (rng.uniform_int(0, 2)) {
+      case 0:  // one flipped bit anywhere
+        image[rng.uniform_int(0, image.size() - 1)] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+        break;
+      case 1:  // cut anywhere
+        image.resize(rng.uniform_int(0, image.size() - 1));
+        break;
+      default:  // a random byte
+        image[rng.uniform_int(0, image.size() - 1)] =
+            static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        break;
+    }
+    tally(expect_receive_matches_reference(harness, image, lan));
+  }
+  // Every outcome must actually occur or the campaign exercises nothing.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(misrouted, 0);
+  EXPECT_GT(malformed, 100);
+  EXPECT_GT(truncated, 100);
+  EXPECT_GT(with_path, 100);
 }
 
 // Decoded-then-reencoded segments are canonical: a second decode yields an

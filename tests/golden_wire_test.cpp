@@ -82,7 +82,8 @@ wire::Bytes build_multi_hop() {
 
   core::HeaderSegment local;
   local.port = core::kLocalPort;
-  local.port_info = encode_endpoint_id(0x1234'5678'9ABC'DEF0ull);
+  const auto id = encode_endpoint_id(0x1234'5678'9ABC'DEF0ull);
+  local.port_info.assign(id.begin(), id.end());
 
   core::SourceRoute route;
   route.segments = {tokened, lan, local};

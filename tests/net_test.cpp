@@ -2,6 +2,10 @@
 // cut-through results rest on.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <vector>
+
 #include "net/ethernet.hpp"
 #include "net/lan.hpp"
 #include "net/network.hpp"
@@ -244,6 +248,162 @@ TEST_F(NetFixture, BusyTimeAccounting) {
   a.port(pa).enqueue(make_packet(625), TxMeta{}, 0);
   sim.run();
   EXPECT_EQ(a.port(pa).stats().busy_time, 15 * sim::kMicrosecond);
+}
+
+/// One waiting packet in the reference models below.
+struct ModelEntry {
+  std::uint64_t id = 0;
+  int rank = 0;
+};
+
+/// Descending rank, FIFO within a rank — the order both models keep.
+void model_insert(std::deque<ModelEntry>& queue, ModelEntry entry) {
+  auto it = queue.end();
+  while (it != queue.begin() && std::prev(it)->rank < entry.rank) --it;
+  queue.insert(it, entry);
+}
+
+/// Packet ids of a port queue, front to back.
+template <class Queue>
+std::vector<std::uint64_t> packet_ids(const Queue& queue) {
+  std::vector<std::uint64_t> ids;
+  for (const auto& q : queue) ids.push_back(q.packet->id);
+  return ids;
+}
+
+std::vector<std::uint64_t> model_ids(const std::deque<ModelEntry>& queue) {
+  std::vector<std::uint64_t> ids;
+  for (const ModelEntry& e : queue) ids.push_back(e.id);
+  return ids;
+}
+
+// The ring against a std::deque model: random rank inserts, pops and
+// clears keep the same order, and the ring's capacity only ever grows, and
+// only when a backlog outgrows it.
+TEST(TxQueueProperty, RingMatchesDequeModel) {
+  sim::Rng rng(0x516);
+  PacketFactory packets;
+  TxQueue ring;
+  std::deque<ModelEntry> model;
+  for (int op = 0; op < 20000; ++op) {
+    SCOPED_TRACE(op);
+    const std::size_t capacity = ring.capacity();
+    const int what = static_cast<int>(rng.uniform_int(0, 99));
+    if (what < 55) {
+      QueuedPacket item;
+      item.packet = packets.make(wire::Bytes(8), 0);
+      item.meta.rank = static_cast<int>(rng.uniform_int(0, 4)) - 1;
+      model_insert(model, {item.packet->id, item.meta.rank});
+      ring.insert_by_rank(std::move(item));
+    } else if (what < 98) {
+      if (model.empty()) continue;
+      const QueuedPacket popped = ring.pop_front();
+      EXPECT_EQ(popped.packet->id, model.front().id);
+      model.pop_front();
+    } else {
+      ring.clear();
+      model.clear();
+    }
+    ASSERT_EQ(ring.size(), model.size());
+    ASSERT_EQ(packet_ids(ring), model_ids(model));
+    EXPECT_GE(ring.capacity(), capacity);
+    if (ring.capacity() != capacity) {
+      EXPECT_GT(ring.size(), capacity);
+    }
+  }
+}
+
+// The port against a model of its queue discipline: random enqueues (any
+// rank, preempting, drop-if-blocked), completions, preempt-aborts and
+// link flaps keep the port's queue, counters and transmission order
+// exactly where a std::deque model of the paper's rules puts them.
+TEST_F(NetFixture, PortQueueMatchesDequeModel) {
+  auto& a = net.add<SinkNode>("a");
+  auto& b = net.add<SinkNode>("b");
+  const auto [pa, _] = net.duplex(a, b, LinkConfig{1e9, 0, 1500});
+  TxPort& port = a.port(pa);
+
+  sim::Rng rng(0x517);
+  std::deque<ModelEntry> queue;
+  std::optional<ModelEntry> current;
+  bool current_preempts = false;
+  bool up = true;
+  std::vector<std::uint64_t> started;
+  TxPort::Stats expect;
+  const auto start_next = [&] {
+    if (current || queue.empty() || !up) return;
+    current = queue.front();
+    current_preempts = current->rank == 7;
+    queue.pop_front();
+    started.push_back(current->id);
+  };
+
+  for (int op = 0; op < 5000; ++op) {
+    SCOPED_TRACE(op);
+    const int what = static_cast<int>(rng.uniform_int(0, 99));
+    if (what < 60) {
+      // Rank 7 stands for the preempting priorities.
+      const int rank = static_cast<int>(rng.uniform_int(0, 7));
+      const TxMeta meta{rank, rank == 7, rng.chance(0.15)};
+      PacketPtr packet = make_packet(rng.uniform_int(64, 1500));
+      const std::uint64_t id = packet->id;
+      port.enqueue(std::move(packet), meta, 0);
+      ++expect.enqueued;
+      if (!up) {
+        ++expect.dropped_down;
+      } else {
+        if (current && meta.preempting && !current_preempts) {
+          ++expect.preempt_aborts;
+          current.reset();
+        }
+        if ((current || !queue.empty()) && meta.drop_if_blocked) {
+          ++expect.dropped_blocked;
+        } else {
+          model_insert(queue, {id, rank});
+          start_next();
+        }
+      }
+    } else if (what < 92) {
+      // Run the simulator until the transmission in progress completes.
+      if (!current) continue;
+      const std::uint64_t sent = port.stats().sent;
+      while (port.stats().sent == sent) ASSERT_EQ(sim.run_steps(1), 1u);
+      ++expect.sent;
+      current.reset();
+      start_next();
+    } else if (up) {
+      port.set_up(false);
+      up = false;
+      // A link going down aborts the transmission in progress.
+      if (current) ++expect.preempt_aborts;
+      expect.dropped_down += queue.size();
+      queue.clear();
+      current.reset();
+    } else {
+      port.set_up(true);
+      up = true;
+      start_next();
+    }
+    ASSERT_EQ(packet_ids(port.queue()), model_ids(queue));
+    ASSERT_EQ(port.queue_packets(), queue.size());
+    ASSERT_EQ(port.busy(), current.has_value());
+    std::size_t bytes = 0;
+    for (const auto& q : port.queue()) bytes += q.packet->size();
+    ASSERT_EQ(port.queue_bytes(), bytes);
+    ASSERT_EQ(port.stats().enqueued, expect.enqueued);
+    ASSERT_EQ(port.stats().sent, expect.sent);
+    ASSERT_EQ(port.stats().dropped_blocked, expect.dropped_blocked);
+    ASSERT_EQ(port.stats().dropped_down, expect.dropped_down);
+    ASSERT_EQ(port.stats().preempt_aborts, expect.preempt_aborts);
+  }
+  sim.run();
+  // Every transmission the model started reached the peer, in order.
+  std::vector<std::uint64_t> arrived;
+  for (const Arrival& arrival : b.arrivals) arrived.push_back(arrival.packet->id);
+  EXPECT_EQ(arrived, started);
+  EXPECT_GT(expect.preempt_aborts, 10u);
+  EXPECT_GT(expect.dropped_blocked, 10u);
+  EXPECT_GT(expect.dropped_down, 10u);
 }
 
 TEST(MacAddr, FormattingAndBroadcast) {

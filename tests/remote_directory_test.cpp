@@ -47,7 +47,8 @@ TEST(RemoteDirectoryCodec, RoutesRoundTrip) {
   seg.token = pattern_bytes(40);
   core::HeaderSegment local;
   local.port = core::kLocalPort;
-  local.port_info = viper::encode_endpoint_id(0xFEED);
+  const auto id = viper::encode_endpoint_id(0xFEED);
+  local.port_info.assign(id.begin(), id.end());
   route.route.segments = {seg, local};
   route.first_hop_link = net::EthernetHeader{
       net::MacAddr::from_index(1), net::MacAddr::from_index(2),

@@ -64,7 +64,8 @@ inline core::HeaderSegment local_segment(std::uint64_t endpoint = 0) {
   core::HeaderSegment seg;
   seg.port = core::kLocalPort;
   if (endpoint != 0) {
-    seg.port_info = viper::encode_endpoint_id(endpoint);
+    const auto id = viper::encode_endpoint_id(endpoint);
+    seg.port_info.assign(id.begin(), id.end());
   } else {
     seg.flags.vnt = true;
   }
