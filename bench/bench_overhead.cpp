@@ -20,7 +20,7 @@
 //     NoObserver         nothing wired (baseline),
 //     ObsNoFlow          metrics + flight recorder, no flow plane,
 //     FlowEnabled        full flow plane: FlowTable record + sampler draw
-//                        + feeder bookkeeping per hop,
+//                        per hop,
 //     WiredUnmarked      path telemetry wired, sample period 0: every
 //                        router takes the untaken stamp branch,
 //     Marked             sample period 1: every packet stamped at the

@@ -2,8 +2,8 @@
 """Collect the repo's microbenchmark results into one JSON document.
 
 Runs the google-benchmark binary bench_overhead with
---benchmark_format=json and folds every benchmark into a flat
-{name: ns_per_op} map using cpu_time; then runs bench_scalability and
+--benchmark_format=json --benchmark_min_time=0.5 and folds every
+benchmark into a flat {name: ns_per_op} map using cpu_time; then runs bench_scalability and
 records its ENGINE_NS line (the forwarding engine's ns/packet) under
 scalability.batched_engine, the key earlier artifacts used for the same
 engine; then runs bench_header_overhead and records
@@ -11,8 +11,9 @@ its INT_BYTES line (trailer bytes per hop with path telemetry off/on)
 under header.int_*.
 
 The output (default BENCH_CI.json) is what CI uploads as the per-build
-performance artifact and gates against the newest committed
-BENCH_PR<n>.json (check_bench_trend.py BENCH_CI.json).  The schema is
+performance artifact, gates on the overhead ratios (check_overhead.py
+BENCH_CI.json) and gates against the newest committed BENCH_PR<n>.json
+(check_bench_trend.py BENCH_CI.json).  The schema is
 deliberately trivial: one flat object, names stable across runs, values
 in nanoseconds (except the byte-valued header.int_* entries).
 
@@ -35,7 +36,8 @@ INT_BYTES = re.compile(
 
 def run_gbench(bindir, results):
     out = subprocess.run(
-        [f"{bindir}/bench_overhead", "--benchmark_format=json"],
+        [f"{bindir}/bench_overhead", "--benchmark_format=json",
+         "--benchmark_min_time=0.5"],
         capture_output=True, text=True, check=True).stdout
     for bench in json.loads(out)["benchmarks"]:
         results[bench["name"]] = float(bench["cpu_time"])

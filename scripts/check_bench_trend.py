@@ -6,10 +6,10 @@ BENCH_PR<n>.json (one flat {name: ns_per_op} object, written by
 bench_to_json.py).  This gate compares a fresh run (CI writes
 BENCH_CI.json, a name outside the BENCH_PR* glob, so the run is never
 taken for a committed artifact) against the newest committed artifact,
-and fails if any metric present in both regressed by more than the
-threshold (default 25%):
+and fails if any metric present in both regressed by more than
+THRESHOLD (25%):
 
-  new / old  > 1 + threshold   -> FAIL
+  new / old  > 1 + THRESHOLD   -> FAIL
 
 The threshold is deliberately loose — the fresh run and the artifact may
 come from different machines — but it still catches the failure mode
@@ -18,7 +18,7 @@ otherwise surface three PRs later as "the benchmarks got slow at some
 point".  Metrics that appear only in the fresh run (new benchmarks) or
 only in the artifact (retired benchmarks) are reported and skipped.
 
-Usage: check_bench_trend.py [--dir .] [--threshold 0.25] BENCH_CI.json
+Usage: check_bench_trend.py BENCH_CI.json
        check_bench_trend.py --self-test
 """
 
@@ -33,6 +33,9 @@ import sys
 import tempfile
 
 BENCH_RE = re.compile(r"BENCH_PR(\d+)\.json$")
+
+# Largest tolerated fractional regression (0.25 = 25%).
+THRESHOLD = 0.25
 
 
 def find_artifacts(directory):
@@ -145,10 +148,6 @@ def self_test():
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dir", default=".",
-                        help="directory holding BENCH_PR*.json artifacts")
-    parser.add_argument("--threshold", type=float, default=0.25,
-                        help="max fractional regression (0.25 = 25%%)")
     parser.add_argument("fresh", nargs="?",
                         help="a fresh run (e.g. BENCH_CI.json) to gate "
                              "against the newest committed artifact")
@@ -159,7 +158,7 @@ def main():
         return self_test()
     if args.fresh is None:
         parser.error("a fresh run (e.g. BENCH_CI.json) is required")
-    return run_gate(args.dir, args.threshold, args.fresh)
+    return run_gate(".", THRESHOLD, args.fresh)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Gate on the data-path cost contracts of the observability planes.
 
-Reads bench_overhead JSON output (--benchmark_format=json) and fails if
-any ratio in GATES exceeds its bound.  Each ratio compares cpu_time of a
-plane's mode against its baseline.  The bounds are deliberately loose,
+Reads the flat {name: ns_per_op} results that bench_to_json.py writes
+(BENCH_CI.json: bench_overhead's cpu_time per benchmark) and fails if any
+ratio in GATES exceeds its bound.  Each ratio compares a plane's mode
+against its baseline.  The bounds are deliberately loose,
 since CI machines are noisy, but they still catch the failure the
 contracts forbid: per-packet work (allocation, locking, encoding)
 appearing on a path that should cost one untaken branch.  A benchmark
 missing from the results fails the gate.
 
-Usage: check_overhead.py results.json
+Usage: check_overhead.py BENCH_CI.json
        check_overhead.py --self-test
 """
 
@@ -70,7 +71,7 @@ def self_test():
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("results", nargs="?",
-                        help="bench_overhead JSON output")
+                        help="flat results from bench_to_json.py")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the gate logic and exit")
     args = parser.parse_args()
@@ -79,8 +80,8 @@ def main():
     if args.results is None:
         parser.error("results is required")
     with open(args.results, encoding="utf-8") as handle:
-        times = {bench["name"]: float(bench["cpu_time"])
-                 for bench in json.load(handle)["benchmarks"]}
+        times = {name: float(value)
+                 for name, value in json.load(handle).items()}
     if check(times):
         print("FAIL: overhead exceeds bound")
         return 1

@@ -16,8 +16,9 @@ CongestionController::CongestionController(sim::Simulator& sim,
     return shape(out_port, next_port, std::move(packet), meta, earliest);
   });
   router_.set_control_handler(
-      [this](const core::HeaderSegment& seg, wire::Bytes payload,
-             int in_port) { on_control(seg, std::move(payload), in_port); });
+      [this](std::span<const std::uint8_t> payload, int) {
+        on_control(payload);
+      });
   sim_.after(config_.interval, [this] { tick(); });
 }
 
@@ -54,11 +55,6 @@ void CongestionController::set_observer(const obs::Observer& observer) {
     obs_shaped_ = nullptr;
   }
   obs_recorder_ = observer.recorder;
-  // Same scoped observer as the router (shared by name): the feeder
-  // aggregates the router publishes are what feeders_toward() reads back.
-  obs_flow_ = observer.flow != nullptr
-                  ? &observer.flow->scoped(router_.name())
-                  : nullptr;
 }
 
 std::vector<CongestionController::FlowSnapshot>
@@ -186,8 +182,8 @@ void CongestionController::flush(FlowState& flow) {
   flow.held_bytes = 0;
 }
 
-void CongestionController::on_control(const core::HeaderSegment&,
-                                      wire::Bytes payload, int) {
+void CongestionController::on_control(
+    std::span<const std::uint8_t> payload) {
   const auto report = decode_rate_report(payload);
   if (!report.has_value()) return;
   ++stats_.reports_received;
@@ -238,21 +234,12 @@ void CongestionController::report_port_congestion(int port_index) {
   }
 
   // "Because the congested router has access to the source route, it can
-  // easily determine the upstream routers feeding the queue."  With flow
-  // accounting on, the answer comes from the router's flow aggregates (an
-  // O(feeders) map walk over the last interval) instead of rescanning the
-  // whole output queue packet by packet.
+  // easily determine the upstream routers feeding the queue": the feeders
+  // are the arrival ports of the packets queued here now.
   std::set<int> feeders;
-  if (obs_flow_ != nullptr) {
-    std::vector<int> fed;
-    obs_flow_->feeders_toward(port_index, sim_.now() - config_.interval,
-                              fed);
-    feeders.insert(fed.begin(), fed.end());
-  } else {
-    for (const auto& queued : out.queue()) {
-      if (queued.packet->last_in_port > 0) {
-        feeders.insert(queued.packet->last_in_port);
-      }
+  for (const auto& queued : out.queue()) {
+    if (queued.packet->last_in_port > 0) {
+      feeders.insert(queued.packet->last_in_port);
     }
   }
   if (feeders.empty()) return;

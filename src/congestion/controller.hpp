@@ -61,6 +61,8 @@ class CongestionController {
     std::uint64_t flows_created = 0;
     std::uint64_t flows_expired = 0;
     std::uint64_t flows_ramped_out = 0; ///< limits removed by ramp-up
+
+    bool operator==(const Stats&) const = default;
   };
 
   CongestionController(sim::Simulator& sim, viper::ViperRouter& router,
@@ -78,10 +80,8 @@ class CongestionController {
   /// Wires the controller to an observability sink: a `cc.<router>.flows`
   /// gauge (throttle-table size), `cc.<router>.reports_*` / `.shaped`
   /// counters, and — with a recorder — a kThrottle instant span whenever a
-  /// traced packet is held by the shaper.  With a flow sink present the
-  /// controller shares the router's scoped flow observer and identifies a
-  /// congested port's feeders from its aggregates (feeders_toward) instead
-  /// of rescanning the output queue.
+  /// traced packet is held by the shaper.  Observation never steers: the
+  /// reports the controller sends do not depend on what is wired here.
   void set_observer(const obs::Observer& observer);
 
   /// Currently granted rate toward @p key; +inf when unlimited.
@@ -126,8 +126,7 @@ class CongestionController {
   void tick();
   bool shape(int out_port, std::uint8_t next_port, net::PacketPtr packet,
              net::TxMeta meta, sim::Time earliest);
-  void on_control(const core::HeaderSegment& segment, wire::Bytes payload,
-                  int in_port);
+  void on_control(std::span<const std::uint8_t> payload);
   void refill(FlowState& flow);
   void schedule_release(const FlowKey& key);
   void release_ready(const FlowKey& key);
@@ -156,7 +155,6 @@ class CongestionController {
   stats::Counter* obs_reports_received_ = nullptr;
   stats::Counter* obs_shaped_ = nullptr;
   obs::FlightRecorder* obs_recorder_ = nullptr;
-  obs::FlowSink* obs_flow_ = nullptr;  // shared with the router by name
 
   void update_flows_gauge() {
     if (obs_flows_ != nullptr) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 
 #include "congestion/messages.hpp"
 #include "congestion/throttle_core.hpp"
@@ -24,19 +25,13 @@
 
 namespace srp::cc {
 
-struct ThrottleConfig {
-  sim::Time flow_ttl = 50 * sim::kMillisecond;
-  double ramp_factor = 1.4;
-  sim::Time ramp_interval = 2 * sim::kMillisecond;
-  /// Rates at or above this are treated as "unlimited" and dropped.
-  double rate_ceiling_bps = 1e12;
-};
-
 class SourceThrottle {
  public:
   struct Stats {
     std::uint64_t reports_received = 0;
     std::uint64_t sends_delayed = 0;
+
+    bool operator==(const Stats&) const = default;
   };
 
   SourceThrottle(sim::Simulator& sim, viper::ViperHost& host,
@@ -64,12 +59,11 @@ class SourceThrottle {
   void set_step_for_test(ThrottleStepFn step) { step_ = step; }
 
  private:
-  void on_control(wire::Bytes payload);
+  void on_control(std::span<const std::uint8_t> payload);
   void tick();
 
   sim::Simulator& sim_;
   ThrottleConfig config_;
-  ThrottleCoreConfig core_config_;
   ThrottleStepFn step_ = &throttle_step;
   std::map<FlowKey, ThrottleState> states_;
   Stats stats_;

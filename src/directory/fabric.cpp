@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "flow/plane.hpp"
-
 namespace srp::dir {
 
 Fabric::Fabric(sim::Simulator& sim) : sim_(sim), net_(sim) {
@@ -57,11 +55,16 @@ net::LanSegment& Fabric::add_lan(const std::string& name,
   return lan;
 }
 
-void Fabric::set_lan_kind(net::PortedNode& node, int port_index) {
-  if (auto* router = dynamic_cast<viper::ViperRouter*>(&node)) {
-    router->set_port_kind(port_index, viper::PortKind::kLan);
-  } else if (auto* host = dynamic_cast<viper::ViperHost*>(&node)) {
-    host->set_port_kind(port_index, viper::PortKind::kLan);
+void Fabric::set_lan_kind(net::PortedNode& node, std::uint32_t topo_id,
+                          int port_index) {
+  // Every fabric node is a ViperRouter or a ViperHost, recorded as such in
+  // the topology when it was added.
+  if (topo_.node(topo_id).type == NodeType::kRouter) {
+    static_cast<viper::ViperRouter&>(node).set_port_kind(port_index,
+                                                         viper::PortKind::kLan);
+  } else {
+    static_cast<viper::ViperHost&>(node).set_port_kind(port_index,
+                                                       viper::PortKind::kLan);
   }
 }
 
@@ -72,6 +75,7 @@ net::MacAddr Fabric::attach_lan(net::LanSegment& lan,
     throw std::invalid_argument("attach_lan: segment not from this fabric");
   }
   LanRecord& record = it->second;
+  const std::uint32_t station_id = id_of(station);
   const net::LinkConfig link_config{record.params.rate_bps,
                                     record.params.prop_delay,
                                     record.params.mtu};
@@ -79,9 +83,9 @@ net::MacAddr Fabric::attach_lan(net::LanSegment& lan,
       net_.duplex(station, lan, link_config);
   const net::MacAddr mac = net::MacAddr::from_index(next_mac_index_++);
   lan.register_mac(mac, segment_port);
-  set_lan_kind(station, station_port);
+  set_lan_kind(station, station_id, station_port);
   record.stations.push_back(
-      LanAttachment{&station, id_of(station), station_port, mac});
+      LanAttachment{&station, station_id, station_port, mac});
   return mac;
 }
 
@@ -205,7 +209,7 @@ health::HealthMonitor& Fabric::enable_health(health::HealthConfig config) {
   monitor_ = std::make_unique<health::HealthMonitor>(
       sim_, *observer_.registry, config);
   monitor_->set_recorder(observer_.recorder);
-  monitor_->set_flow_plane(dynamic_cast<flow::FlowPlane*>(observer_.flow));
+  monitor_->set_flow_plane(observer_.flow);
   monitor_->set_path_collector(collector_.get());
   for (viper::ViperRouter* router : routers_) {
     monitor_->map_router(id_of(*router), std::string(router->name()));

@@ -114,11 +114,6 @@ class Fabric {
   /// retroactive for later components.
   health::HealthMonitor& enable_health(health::HealthConfig config = {});
 
-  /// The monitor built by enable_health(); null before it.
-  [[nodiscard]] health::HealthMonitor* health_monitor() {
-    return monitor_.get();
-  }
-
   // --- failure injection (simulation + directory advisories together) ---
   void fail_link(net::PortedNode& a, net::PortedNode& b);
   void restore_link(net::PortedNode& a, net::PortedNode& b);
@@ -173,7 +168,8 @@ class Fabric {
     std::vector<LanAttachment> stations;
   };
 
-  void set_lan_kind(net::PortedNode& node, int port_index);
+  void set_lan_kind(net::PortedNode& node, std::uint32_t topo_id,
+                    int port_index);
   LinkRecord* find_link(const net::Node& a, const net::Node& b);
   void set_link_state(net::PortedNode& a, net::PortedNode& b, bool up,
                       bool tell_directory);

@@ -1,27 +1,46 @@
 // One component's flow-accounting state: the FlowTable, the deterministic
-// packet sampler, the exact per-account charge mirror and the feeder
-// aggregates the congestion controller reads back.
+// packet sampler and the exact per-account charge mirror.
 //
-// A FlowObserver implements obs::FlowSink for a single named component
-// (one router).  Components obtain theirs via FlowPlane::scoped(name); the
-// router and its congestion controller share one observer by name, which
-// is how feeders_toward() answers from the router's own forward stream.
+// Sirpent's routers can aggregate traffic by source route and by account
+// (tokens name the account to charge, paper §2.2).  A FlowObserver holds
+// those aggregates for a single named component (one router); components
+// obtain theirs via FlowPlane::scoped(name) once at set_observer() time and
+// keep a raw pointer, so with no flow plane wired the per-packet price is
+// one untaken null-pointer branch.  The observer only records: nothing in
+// the data path or in congestion control reads its state back.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
 #include "flow/sampler.hpp"
 #include "flow/table.hpp"
-#include "obs/flow_sink.hpp"
 #include "obs/recorder.hpp"
+#include "sim/time.hpp"
 #include "stats/registry.hpp"
 
 namespace srp::flow {
+
+/// One forwarded packet, as the flow-accounting plane sees it.  The header
+/// span points into the caller's buffer and is valid only for the duration
+/// of the on_forward() call (the observer copies the excerpt it keeps).
+struct FlowSample {
+  std::uint64_t route_digest = 0;  ///< whole-route identity (0 = unknown)
+  std::uint64_t packet_id = 0;
+  std::uint64_t trace_id = 0;      ///< nonzero when the packet is traced
+  std::uint32_t account = 0;       ///< from the validated token (0 = none)
+  std::uint8_t tos_class = 0;      ///< type-of-service priority field
+  bool cut_through = false;        ///< vs store-and-forward for this hop
+  std::uint16_t in_port = 0;
+  std::uint16_t out_port = 0;
+  std::uint32_t bytes = 0;         ///< wire bytes admitted (= bytes charged)
+  sim::Time now = 0;
+  /// Link header + first VIPER segment as received — the excerpt source
+  /// for sampled-packet capture.
+  std::span<const std::uint8_t> header;
+};
 
 /// Flow-plane tuning, shared by every observer a plane creates.
 struct FlowConfig {
@@ -42,7 +61,7 @@ struct AccountCharge {
   bool operator==(const AccountCharge&) const = default;
 };
 
-class FlowObserver final : public obs::FlowSink {
+class FlowObserver {
  public:
   /// @p registry / @p recorder may be null (no metrics / no sampled-span
   /// capture).  Metrics: `flow.<name>.sampled`, `flow.<name>.evictions`
@@ -50,10 +69,14 @@ class FlowObserver final : public obs::FlowSink {
   FlowObserver(std::string name, const FlowConfig& config,
                stats::Registry* registry, obs::FlightRecorder* recorder);
 
-  void on_forward(const obs::FlowSample& sample) override;
-  void on_charge(std::uint32_t account, std::uint64_t bytes) override;
-  void feeders_toward(int out_port, sim::Time since,
-                      std::vector<int>& out) const override;
+  /// One packet forwarded by the component.  Hot path: called per packet
+  /// whenever a flow plane is wired.
+  void on_forward(const FlowSample& sample);
+
+  /// One tokens::Ledger charge made by the component, reported with the
+  /// same account and byte count — the exact mirror that makes per-account
+  /// roll-ups reconcile with the ledger.
+  void on_charge(std::uint32_t account, std::uint64_t bytes);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const FlowTable& table() const { return table_; }
@@ -75,8 +98,6 @@ class FlowObserver final : public obs::FlowSink {
   Sampler sampler_;
   std::uint64_t sampled_total_ = 0;
   std::map<std::uint32_t, AccountCharge> charges_;
-  /// (out_port, in_port) -> last time in_port fed out_port.
-  std::map<std::pair<std::uint16_t, std::uint16_t>, sim::Time> feeders_;
 };
 
 }  // namespace srp::flow

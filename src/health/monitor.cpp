@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
 #include <functional>
 #include <string_view>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "flow/plane.hpp"
 #include "obs/recorder.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/text.hpp"
 
 namespace srp::health {
 namespace {
@@ -35,13 +35,41 @@ std::string instance_segment(std::string_view metric) {
   return std::string(metric.substr(first + 1, len));
 }
 
-void append_fmt(std::string& out, const char* fmt, auto... args) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, fmt, args...);
-  out += buf;
-}
+/// Delivery-latency SLO, applied to every `host.*.e2e_latency_ps`
+/// histogram: at most 1% of deliveries may exceed 5 ms; the SloBurnRate
+/// alert fires when the budget burns at 10x or faster.
+constexpr BurnRateConfig kSloBurn{.objective = 5 * sim::kMillisecond,
+                                  .error_budget = 0.01,
+                                  .burn_limit = 10.0,
+                                  .clear_burn = 1.0,
+                                  .min_samples = 8};
+
+/// Baseline-deviation templates: kLatencyEwma scores windowed p99s (queue
+/// wait, RTT); kRateEwma scores windowed counter rates (token misses,
+/// retransmits).  min_deviation floors are in histogram units
+/// (picoseconds) and events/window respectively.
+constexpr EwmaConfig kLatencyEwma{.alpha = 0.3,
+                                  .sigmas = 4.0,
+                                  .clear_sigmas = 2.0,
+                                  .min_deviation = 50.0 * sim::kMicrosecond,
+                                  .min_sigma = 10.0 * sim::kMicrosecond,
+                                  .warmup = 3,
+                                  .one_sided = true};
+constexpr EwmaConfig kRateEwma{.alpha = 0.3,
+                               .sigmas = 4.0,
+                               .clear_sigmas = 2.0,
+                               .min_deviation = 8.0,
+                               .min_sigma = 2.0,
+                               .warmup = 3,
+                               .one_sided = true};
+
+/// Wire-loss / reject thresholds, in events per window.
+constexpr double kLossLimit = 1.0;
+constexpr double kRejectLimit = 1.0;
 
 }  // namespace
+
+using obs::append_fmt;
 
 HealthMonitor::HealthMonitor(sim::Simulator& sim, stats::Registry& registry,
                              HealthConfig config)
@@ -150,13 +178,13 @@ void HealthMonitor::instantiate_rules(const stats::MetricsSnapshot& snap) {
       if (starts_with(name, "port.") && ends_with(name, ".wire_loss")) {
         add_rule(name, "LinkWireLoss", Reading::kCounterRate,
                  DetectorKind::kThreshold,
-                 ThresholdDetector({.limit = config_.loss_limit,
+                 ThresholdDetector({.limit = kLossLimit,
                                     .clear_limit = 0.0}));
       } else if (starts_with(name, "port.") &&
                  ends_with(name, ".down_drops")) {
         add_rule(name, "LinkDownDrops", Reading::kCounterRate,
                  DetectorKind::kThreshold,
-                 ThresholdDetector({.limit = config_.loss_limit,
+                 ThresholdDetector({.limit = kLossLimit,
                                     .clear_limit = 0.0}));
       } else if (starts_with(name, "port.") && ends_with(name, ".link_up")) {
         add_rule(name, "LinkDown", Reading::kGaugeInverted,
@@ -166,36 +194,32 @@ void HealthMonitor::instantiate_rules(const stats::MetricsSnapshot& snap) {
                  ends_with(name, ".token_rejected")) {
         add_rule(name, "TokenRejects", Reading::kCounterRate,
                  DetectorKind::kThreshold,
-                 ThresholdDetector({.limit = config_.reject_limit,
+                 ThresholdDetector({.limit = kRejectLimit,
                                     .clear_limit = 0.0}));
       } else if (starts_with(name, "viper.") &&
                  (ends_with(name, ".token_miss_optimistic") ||
                   ends_with(name, ".token_miss_blocking") ||
                   ends_with(name, ".token_miss_drop"))) {
         add_rule(name, "TokenMissSurge", Reading::kCounterRate,
-                 DetectorKind::kEwma, EwmaDetector(config_.rate_ewma));
+                 DetectorKind::kEwma, EwmaDetector(kRateEwma));
       } else if (starts_with(name, "vmtp.") &&
                  ends_with(name, ".retransmits")) {
         add_rule(name, "RetransmitSurge", Reading::kCounterRate,
-                 DetectorKind::kEwma, EwmaDetector(config_.rate_ewma));
+                 DetectorKind::kEwma, EwmaDetector(kRateEwma));
       }
       return;
     }
     if (starts_with(name, "port.") && ends_with(name, ".queue_wait_ps")) {
       add_rule(name, "QueueWaitSurge", Reading::kHistogramP99,
-               DetectorKind::kEwma, EwmaDetector(config_.latency_ewma));
+               DetectorKind::kEwma, EwmaDetector(kLatencyEwma));
     } else if (starts_with(name, "vmtp.") && ends_with(name, ".rtt_ps")) {
       add_rule(name, "RttSurge", Reading::kHistogramP99, DetectorKind::kEwma,
-               EwmaDetector(config_.latency_ewma));
+               EwmaDetector(kLatencyEwma));
     } else if (starts_with(name, "host.") &&
                ends_with(name, ".e2e_latency_ps")) {
       add_rule(name, "SloBurnRate", Reading::kHistogramBurn,
                DetectorKind::kBurnRate,
-               BurnRateDetector({.objective = config_.slo_objective_ps,
-                                 .error_budget = config_.slo_error_budget,
-                                 .burn_limit = config_.slo_burn_limit,
-                                 .clear_burn = config_.slo_clear_burn,
-                                 .min_samples = config_.slo_min_samples}));
+               BurnRateDetector(kSloBurn));
     }
   };
 
@@ -261,7 +285,7 @@ void HealthMonitor::tick() {
 
 void HealthMonitor::on_transition(const Alert& alert) {
   transitions_counter_->add(1);
-  if (!config_.emit_spans || recorder_ == nullptr) return;
+  if (recorder_ == nullptr) return;
   obs::SpanRecord span;
   span.kind = obs::SpanKind::kAlert;
   span.start = span.decision = span.end = sim_.now();

@@ -59,44 +59,12 @@ class PathCollector;
 
 namespace srp::health {
 
+/// The two health-plane settings callers choose.  The rule templates'
+/// detector settings (SLO objective and budget, EWMA baselines, loss and
+/// reject limits) are fixed constants in monitor.cpp.
 struct HealthConfig {
   SeriesConfig series;  ///< window length + retained depth
   AlertPolicy policy;   ///< for-duration / clear debounce
-
-  /// Delivery-latency SLO, applied to every `host.*.e2e_latency_ps`
-  /// histogram: at most `slo_error_budget` of deliveries may exceed the
-  /// objective; the SloBurnRate alert fires when the budget burns at
-  /// `slo_burn_limit`x or faster.
-  std::uint64_t slo_objective_ps = 5 * sim::kMillisecond;
-  double slo_error_budget = 0.01;
-  double slo_burn_limit = 10.0;
-  double slo_clear_burn = 1.0;
-  std::uint64_t slo_min_samples = 8;
-
-  /// Baseline-deviation templates: latency_ewma scores windowed p99s
-  /// (queue wait, RTT); rate_ewma scores windowed counter rates (token
-  /// misses, retransmits).  min_deviation floors are in histogram units
-  /// (picoseconds) and events/window respectively.
-  EwmaConfig latency_ewma{.alpha = 0.3,
-                          .sigmas = 4.0,
-                          .clear_sigmas = 2.0,
-                          .min_deviation = 50.0 * sim::kMicrosecond,
-                          .min_sigma = 10.0 * sim::kMicrosecond,
-                          .warmup = 3,
-                          .one_sided = true};
-  EwmaConfig rate_ewma{.alpha = 0.3,
-                       .sigmas = 4.0,
-                       .clear_sigmas = 2.0,
-                       .min_deviation = 8.0,
-                       .min_sigma = 2.0,
-                       .warmup = 3,
-                       .one_sided = true};
-
-  /// Wire-loss / reject thresholds, in events per window.
-  double loss_limit = 1.0;
-  double reject_limit = 1.0;
-
-  bool emit_spans = true;  ///< kAlert instants on every transition
 };
 
 /// Localized explanation of a fired alert.

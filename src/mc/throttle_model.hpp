@@ -46,7 +46,7 @@ class ThrottleModel : public Model {
 
  private:
   ThrottleScenario scenario_;
-  cc::ThrottleCoreConfig config_;
+  cc::ThrottleConfig config_;
   cc::ThrottleStepFn step_;
 };
 

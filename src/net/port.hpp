@@ -147,6 +147,8 @@ class TxPort {
     std::uint64_t dropped_injected = 0;  ///< loss injection (tests/benches)
     std::uint64_t preempt_aborts = 0;    ///< transmissions we aborted
     sim::Time busy_time = 0;             ///< cumulative transmitting time
+
+    bool operator==(const Stats&) const = default;
   };
 
   using Queued = QueuedPacket;

@@ -19,6 +19,9 @@
 
 #include "sim/time.hpp"
 
+namespace srp::flow {
+class FlowPlane;
+}  // namespace srp::flow
 namespace srp::stats {
 class Registry;
 }  // namespace srp::stats
@@ -111,20 +114,18 @@ class FlightRecorder {
   std::uint64_t head_ = 0;
 };
 
-class FlowSink;  // obs/flow_sink.hpp
-
 /// The sinks a component needs to be observable.  Any pointer may be null
 /// (metrics without tracing, tracing without flow accounting, ...);
 /// components cache the handles they need at set_observer() time so the
 /// per-packet cost of a disabled observer is one branch on a null pointer.
+/// Every sink only records: nothing a component does may depend on which
+/// sinks are wired.
 struct Observer {
   stats::Registry* registry = nullptr;
   FlightRecorder* recorder = nullptr;
-  FlowSink* flow = nullptr;  ///< flow accounting plane (obs/flow_sink.hpp)
+  flow::FlowPlane* flow = nullptr;  ///< flow accounting (flow/plane.hpp)
 
   [[nodiscard]] bool has_metrics() const { return registry != nullptr; }
-  [[nodiscard]] bool has_tracing() const { return recorder != nullptr; }
-  [[nodiscard]] bool has_flow() const { return flow != nullptr; }
 };
 
 }  // namespace srp::obs

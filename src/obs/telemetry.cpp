@@ -149,7 +149,7 @@ PathCollector::PathCollector(stats::Registry* registry,
     : config_(std::move(config)), registry_(registry), recorder_(recorder) {
   if (config_.max_records == 0) config_.max_records = 1;
   if (registry_ == nullptr) return;
-  const std::string inst = stats::metric_component(config_.instance);
+  const std::string inst = "path";  // the collector's metric instance
   m_packets_ = &registry_->counter("int." + inst + ".packets");
   m_hops_stamped_ = &registry_->counter("int." + inst + ".hops_stamped");
   m_truncated_ = &registry_->counter("int." + inst + ".truncated");
@@ -169,11 +169,11 @@ PathCollector::PathSeries& PathCollector::series_for(std::uint64_t digest) {
   const auto it = series_.find(digest);
   if (it != series_.end()) return it->second;
   PathSeries series;
-  if (registry_ != nullptr && series_.size() < config_.max_paths) {
+  if (registry_ != nullptr && series_.size() < kMaxPathSeries) {
     const std::string path = "p" + hex16(digest);
     series.packets = &registry_->counter("int." + path + ".packets");
     series.e2e_ps = &registry_->histogram("int." + path + ".e2e_ps");
-  } else if (series_.size() >= config_.max_paths) {
+  } else if (series_.size() >= kMaxPathSeries) {
     totals_.paths_overflow += 1;
     if (m_paths_overflow_ != nullptr) m_paths_overflow_->add();
   }

@@ -101,12 +101,12 @@ struct HopTelemetry {
 [[nodiscard]] std::uint64_t path_digest(
     std::span<const HopTelemetry> hops);
 
+/// Distinct realized paths given their own `int.p<digest>.*` series;
+/// beyond this, packets still aggregate but count paths_overflow.  The
+/// collector's own metrics land under `int.path.*`.
+inline constexpr std::size_t kMaxPathSeries = 32;
+
 struct PathCollectorConfig {
-  /// Metric instance: everything lands under `int.<instance>.*`.
-  std::string instance = "path";
-  /// Distinct realized paths given their own `int.p<digest>.*` series;
-  /// beyond this, packets still aggregate but count paths_overflow.
-  std::size_t max_paths = 32;
   /// Reconstructed PathRecords retained for inspection (ring; oldest out).
   std::size_t max_records = 1024;
 };
@@ -154,7 +154,7 @@ class PathCollector {
     std::uint64_t drops_localized = 0;  ///< postcards recovered from
                                         ///  malformed/truncated arrivals
     std::uint64_t paths = 0;            ///< distinct realized paths
-    std::uint64_t paths_overflow = 0;   ///< beyond config.max_paths
+    std::uint64_t paths_overflow = 0;   ///< beyond kMaxPathSeries
   };
 
   PathCollector(stats::Registry* registry, FlightRecorder* recorder,

@@ -77,6 +77,8 @@ class VmtpEndpoint {
     std::uint64_t checksum_drops = 0;
     std::uint64_t misdeliveries = 0;  ///< wrong dst_entity
     std::uint64_t duplicate_requests = 0;
+
+    bool operator==(const Stats&) const = default;
   };
 
   /// Serves one reassembled request.  @p from is the delivery of the

@@ -307,6 +307,32 @@ DeliveredBody decode_delivered_body(wire::Reader& r) {
   return body;
 }
 
+SRP_HOT_PATH DeliveredView split_delivered_body(
+    std::span<const std::uint8_t> body) {
+  if (body.size() < 2) {
+    throw wire::CodecError("VIPER: truncated data length");
+  }
+  const std::size_t data_len =
+      static_cast<std::size_t>(body[0]) << 8 | body[1];
+  const std::span<const std::uint8_t> rest = body.subspan(2);
+  if (rest.size() >= data_len) {
+    return {rest.first(data_len), rest.subspan(data_len)};
+  }
+  // Cut in flight: the data is short.  A truncating router appends a
+  // 4-byte TRM segment after the cut; split it off if present so the
+  // receiver sees an explicit truncation mark.
+  if (rest.size() >= 4) {
+    try {
+      if (decode_segment_view(rest.last(4), 0).flags.trm) {
+        return {rest.first(rest.size() - 4), rest.last(4)};
+      }
+    } catch (const wire::CodecError&) {
+      // Tail does not parse as a mark: leave the bytes as data.
+    }
+  }
+  return {rest, {}};
+}
+
 std::uint64_t route_digest(const core::SourceRoute& route) {
   // Serialize the token-free shape of the route and SipHash it under a
   // fixed key: the digest must be identical for every packet sent down

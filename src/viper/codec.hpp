@@ -132,10 +132,26 @@ struct DeliveredBody {
 /// (if it survived) is in `trailer`.
 DeliveredBody decode_delivered_body(wire::Reader& r);
 
+/// [DataLen][Data][Trailer...] as views into the bytes past the local
+/// segment — the in-place split the host receive path and the router's
+/// control delivery share.  `data` is what arrived of the data (short when
+/// the packet was cut in flight).  `trailer` is the whole trailer when the
+/// data is intact; after a cut it is the 4-byte TRM segment a truncating
+/// router appends, if that survived, else empty.  The trailer is not
+/// parsed here: callers walk it with decode_segment_view, which throws on
+/// malformed segments; split plus that walk accepts exactly what
+/// decode_delivered_body accepts.  Throws wire::CodecError when DataLen is
+/// missing.  Allocation-free.
+struct DeliveredView {
+  std::span<const std::uint8_t> data;
+  std::span<const std::uint8_t> trailer;
+};
+DeliveredView split_delivered_body(std::span<const std::uint8_t> body);
+
 /// Stable 64-bit digest of a source route's *path* — per-segment port,
 /// priority, flags and port_info, excluding tokens — so the same physical
 /// route hashes identically no matter which tokens were minted for it.
-/// Used as the flow-accounting key (obs::FlowSample::route_digest).
+/// Used as the flow-accounting key (flow::FlowSample::route_digest).
 std::uint64_t route_digest(const core::SourceRoute& route);
 
 }  // namespace srp::viper

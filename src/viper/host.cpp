@@ -211,46 +211,18 @@ SRP_HOT_PATH ParsedArrival parse_delivery(std::span<const std::uint8_t> bytes,
     result.endpoint = decode_endpoint_id(local.port_info);
     offset += local.wire_size;
 
-    // [DataLen][Data][Trailer...]
-    if (bytes.size() - offset < 2) {
-      throw wire::CodecError("VIPER: truncated data length");
+    const DeliveredView body = split_delivered_body(bytes.subspan(offset));
+    trailer = body.trailer;
+    std::size_t at = 0;
+    while (at < trailer.size()) {
+      const SegmentView seg = decode_segment_view(trailer, at);
+      at += seg.wire_size;
+      classify(seg);
     }
-    const std::size_t data_len =
-        static_cast<std::size_t>(bytes[offset]) << 8 | bytes[offset + 1];
-    const std::span<const std::uint8_t> rest = bytes.subspan(offset + 2);
-    if (rest.size() >= data_len) {
-      trailer = rest.subspan(data_len);
-      std::size_t at = 0;
-      while (at < trailer.size()) {
-        const SegmentView seg = decode_segment_view(trailer, at);
-        at += seg.wire_size;
-        classify(seg);
-      }
-      SIRPENT_INVARIANT(at == trailer.size());
-      // SRP_ALLOC_OK(into the delivery's capacity, warm after the largest
-      // packet so far)
-      out.data.assign(rest.begin(), rest.begin() + data_len);
-      SIRPENT_ENSURES(out.data.size() == data_len);
-    } else {
-      // Cut in flight: the data is short.  A truncating router appends a
-      // 4-byte TRM segment after the cut; recover it if present so the
-      // receiver sees an explicit truncation mark.
-      std::size_t kept = rest.size();
-      if (kept >= 4) {
-        try {
-          const SegmentView mark = decode_segment_view(rest.last(4), 0);
-          if (mark.flags.trm) {
-            classify(mark);
-            kept -= 4;
-            trailer = rest.last(4);
-          }
-        } catch (const wire::CodecError&) {
-          // Tail does not parse as a mark: leave the bytes as data.
-        }
-      }
-      // SRP_ALLOC_OK(into the delivery's capacity, as above)
-      out.data.assign(rest.begin(), rest.begin() + kept);
-    }
+    SIRPENT_INVARIANT(at == trailer.size());
+    // SRP_ALLOC_OK(into the delivery's capacity, warm after the largest
+    // packet so far)
+    out.data.assign(body.data.begin(), body.data.end());
   } catch (const wire::CodecError&) {
     result.verdict = ParsedArrival::Verdict::kMalformed;
     return result;

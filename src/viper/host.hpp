@@ -61,8 +61,10 @@ struct SendOptions {
 class ViperHost : public net::PortedNode {
  public:
   using Handler = std::function<void(const Delivery&)>;
+  /// Receives control-endpoint payloads (rate reports); the span is valid
+  /// only during the call.
   using ControlHandler =
-      std::function<void(wire::Bytes payload, int in_port)>;
+      std::function<void(std::span<const std::uint8_t> payload, int in_port)>;
 
   struct Stats {
     std::uint64_t sent = 0;
@@ -73,6 +75,8 @@ class ViperHost : public net::PortedNode {
     std::uint64_t dropped_malformed = 0;
     std::uint64_t control_received = 0;
     std::uint64_t telemetry_marked = 0;  ///< sends carrying the INT mark
+
+    bool operator==(const Stats&) const = default;
   };
 
   ViperHost(sim::Simulator& sim, std::string name,

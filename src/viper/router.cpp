@@ -6,6 +6,7 @@
 
 #include "check/analysis.hpp"
 #include "check/contract.hpp"
+#include "flow/plane.hpp"
 #include "obs/telemetry.hpp"
 
 namespace srp::viper {
@@ -291,11 +292,15 @@ void ViperRouter::deliver_control(const net::Arrival& arrival,
     return;
   }
   try {
-    wire::Reader r{std::span{front.bytes}.subspan(front.offset)};
-    const core::HeaderSegment segment = decode_segment(r);
-    DeliveredBody body = decode_delivered_body(r);
+    // route() already decoded the local segment; the body follows it.  A
+    // trailer that does not parse makes the packet malformed.
+    const DeliveredView body =
+        split_delivered_body(std::span{front.bytes}.subspan(front.consumed()));
+    for (std::size_t at = 0; at < body.trailer.size();) {
+      at += decode_segment_view(body.trailer, at).wire_size;
+    }
     ++stats_.delivered_control;
-    control_handler_(segment, std::move(body.data), arrival.in_port);
+    control_handler_(body.data, arrival.in_port);
   } catch (const wire::CodecError&) {
     ++stats_.dropped_malformed;
   }
@@ -640,7 +645,7 @@ SRP_HOT_PATH void ViperRouter::publish_forward(
         static_cast<std::uint64_t>(timing.earliest - arrival.head));
   }
   if (obs_flow_ != nullptr) {
-    obs::FlowSample sample;
+    flow::FlowSample sample;
     sample.route_digest = src.route_digest;
     sample.packet_id = src.id;
     sample.trace_id = src.trace_id;

@@ -36,12 +36,15 @@
 #include "net/arena.hpp"
 #include "net/ethernet.hpp"
 #include "net/network.hpp"
-#include "obs/flow_sink.hpp"
 #include "obs/recorder.hpp"
 #include "sim/time.hpp"
 #include "tokens/cache.hpp"
 #include "tokens/token.hpp"
 #include "viper/codec.hpp"
+
+namespace srp::flow {
+class FlowObserver;
+}  // namespace srp::flow
 
 namespace srp::viper {
 
@@ -109,12 +112,15 @@ class ViperRouter : public net::PortedNode {
     std::uint64_t telemetry_stamped = 0;   ///< HopTelemetry records appended
     std::uint64_t telemetry_overflow = 0;  ///< marked packets past the
                                            ///  kMaxTelemetryHops stamp bound
+
+    bool operator==(const Stats&) const = default;
   };
 
   /// Handler for locally addressed (port 0) packets — congestion reports
-  /// and other router control traffic.
-  using ControlHandler = std::function<void(
-      const core::HeaderSegment& segment, wire::Bytes payload, int in_port)>;
+  /// and other router control traffic.  The payload views the packet and
+  /// is valid only during the call.
+  using ControlHandler =
+      std::function<void(std::span<const std::uint8_t> payload, int in_port)>;
 
   /// Congestion-layer intercept: called before a forwarded packet is handed
   /// to its output port.  Returning true means the shaper has taken custody
@@ -180,11 +186,12 @@ class ViperRouter : public net::PortedNode {
   /// present — one kHop span per forwarded traced packet capturing the
   /// arrival / switch-decision / earliest-forward times, the cut-through
   /// vs store-and-forward choice and the token outcome.  When the observer
-  /// carries a flow sink, every forwarded packet additionally publishes an
-  /// obs::FlowSample (flow accounting + sampled capture) and every ledger
-  /// charge is mirrored to the sink.  All handles are resolved here once;
-  /// an unobserved router pays one untaken branch per instrumentation
-  /// point.  Call set_observer after the last add_port().
+  /// carries a flow plane, every forwarded packet additionally publishes a
+  /// flow::FlowSample (flow accounting + sampled capture) and every ledger
+  /// charge is mirrored into this router's flow::FlowObserver.  All
+  /// handles are resolved here once; an unobserved router pays one untaken
+  /// branch per instrumentation point.  Call set_observer after the last
+  /// add_port().
   void set_observer(const obs::Observer& observer);
 
   /// Enables in-band path telemetry stamping: every forwarded packet whose
@@ -345,7 +352,7 @@ class ViperRouter : public net::PortedNode {
   stats::Histogram* obs_hop_latency_ = nullptr;
   std::array<stats::Counter*, 6> obs_token_counters_{};  // by TokenOutcome
   obs::FlightRecorder* obs_recorder_ = nullptr;
-  obs::FlowSink* obs_flow_ = nullptr;  // scoped to this router's name
+  flow::FlowObserver* obs_flow_ = nullptr;  // scoped to this router's name
 };
 
 /// 8-byte local endpoint id carried in a port-0 segment's portInfo

@@ -1,8 +1,8 @@
 // Flow accounting & introspection coverage: space-saving table guarantees
 // (overestimate-only counts, bounded error, guaranteed heavy hitters),
 // deterministic 1-in-N sampling, plane scoping, the JSON/IPFIX exports
-// (frozen under tests/golden/), feeder identification, ledger
-// reconciliation and the whole-fabric introspection snapshot.
+// (frozen under tests/golden/), ledger reconciliation and the whole-fabric
+// introspection snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -224,10 +224,10 @@ TEST(Sampler, OneInNAndDeterministic) {
 
 // --- observer + plane ------------------------------------------------------
 
-obs::FlowSample sample_of(std::uint64_t digest, std::uint32_t bytes,
+flow::FlowSample sample_of(std::uint64_t digest, std::uint32_t bytes,
                           sim::Time now, std::uint16_t in_port = 1,
                           std::uint16_t out_port = 2) {
-  obs::FlowSample s;
+  flow::FlowSample s;
   s.route_digest = digest;
   s.packet_id = digest;
   s.account = 7;
@@ -242,9 +242,9 @@ obs::FlowSample sample_of(std::uint64_t digest, std::uint32_t bytes,
 
 TEST(FlowPlane, ScopedSharesObserverByName) {
   flow::FlowPlane plane;
-  obs::FlowSink& a = plane.scoped("r1");
-  obs::FlowSink& b = plane.scoped("r1");
-  obs::FlowSink& c = plane.scoped("r2");
+  flow::FlowObserver& a = plane.scoped("r1");
+  flow::FlowObserver& b = plane.scoped("r1");
+  flow::FlowObserver& c = plane.scoped("r2");
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &c);
 
@@ -259,26 +259,6 @@ TEST(FlowPlane, ScopedSharesObserverByName) {
   ASSERT_EQ(observers.size(), 2u);
   EXPECT_EQ(observers[0]->name(), "r1");  // name-sorted
   EXPECT_EQ(observers[1]->name(), "r2");
-}
-
-TEST(FlowObserver, FeedersTowardFiltersByPortAndTime) {
-  flow::FlowPlane plane;
-  obs::FlowSink& sink = plane.scoped("r1");
-  sink.on_forward(sample_of(1, 100, 10, /*in=*/1, /*out=*/3));
-  sink.on_forward(sample_of(2, 100, 20, /*in=*/2, /*out=*/3));
-  sink.on_forward(sample_of(3, 100, 30, /*in=*/4, /*out=*/5));
-
-  std::vector<int> feeders;
-  sink.feeders_toward(3, 0, feeders);
-  EXPECT_EQ(feeders, (std::vector<int>{1, 2}));
-
-  feeders.clear();
-  sink.feeders_toward(3, 15, feeders);  // port 1's traffic is older
-  EXPECT_EQ(feeders, (std::vector<int>{2}));
-
-  feeders.clear();
-  sink.feeders_toward(5, 0, feeders);
-  EXPECT_EQ(feeders, (std::vector<int>{4}));
 }
 
 TEST(FlowPlane, AccountRollupSumsObservers) {
@@ -343,7 +323,7 @@ flow::FlowPlane& fixture_plane() {
   static bool built = false;
   if (!built) {
     built = true;
-    obs::FlowSink& r1 = plane.scoped("r1");
+    flow::FlowObserver& r1 = plane.scoped("r1");
     for (int i = 0; i < 3; ++i) {
       auto s = sample_of(0x1111, 1000, 10 + i);
       r1.on_forward(s);
@@ -484,12 +464,6 @@ TEST(FlowEndToEnd, RoutersAccountFlowsByRouteAndAccount) {
     ASSERT_EQ(top.size(), 1u);
     EXPECT_EQ(top[0].key.account, 42u);
     EXPECT_EQ(top[0].packets, static_cast<std::uint64_t>(kPackets) - 1);
-
-    // The router's feeder aggregates answer the congestion question: who
-    // feeds port 2?  Port 1 (the upstream side of the line).
-    std::vector<int> feeders;
-    observer->feeders_toward(2, 0, feeders);
-    EXPECT_EQ(feeders, (std::vector<int>{1}));
   }
 
   // Per-account roll-up reconciles exactly with the ledger.
@@ -519,7 +493,7 @@ TEST(FlowEndToEnd, NoFlowSinkMeansNoFlowState) {
   ASSERT_FALSE(routes.empty());
   line.src->send(routes.front().route, test::pattern_bytes(64));
   sim.run();
-  // No flow sink wired: forwarding works, no flow metrics appear
+  // No flow plane wired: forwarding works, no flow metrics appear
   // (pay-only-when-enabled).
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(line.routers[0]->stats().forwarded, 1u);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "directory/fabric.hpp"
 #include "test_util.hpp"
@@ -463,6 +465,62 @@ TEST(ViperRouterTokens, MalformedLanEgressIsDroppedBeforeCharging) {
   EXPECT_EQ(router.stats().forwarded, 0u);
   EXPECT_TRUE(ledger.all().empty());
   EXPECT_EQ(router.token_cache().stats().hits, 0u);
+}
+
+TEST(ViperRouterControl, DeliveryVerdictsOnMalformedControlPackets) {
+  // Port-0 packets go to the control handler with their data as a view.
+  // The verdicts are pinned: a missing DataLen or a trailer that does not
+  // parse is malformed; a body cut in flight delivers what arrived, less a
+  // trailing truncation mark.
+  sim::Simulator sim;
+  ViperRouter router(sim, "r.ctl", RouterConfig{});
+  router.add_port(net::LinkConfig{});
+  std::vector<wire::Bytes> got;
+  router.set_control_handler(
+      [&](std::span<const std::uint8_t> payload, int in_port) {
+        EXPECT_EQ(in_port, 1);
+        got.emplace_back(payload.begin(), payload.end());
+      });
+  net::PacketFactory packets;
+  const auto deliver = [&](const wire::Bytes& image) {
+    net::Arrival arrival;
+    arrival.packet = packets.make(image, 0);
+    arrival.in_port = 1;
+    arrival.tail = 1000;
+    router.on_arrival(arrival);
+  };
+  core::SourceRoute route;
+  route.segments = {local_segment(kControlEndpoint)};
+  const wire::Bytes good = encode_packet(route, pattern_bytes(12));
+  const std::size_t local_size = segment_wire_size(route.segments[0]);
+
+  deliver(good);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], pattern_bytes(12));
+
+  // Bad DataLen: the body stops one byte into the length field.
+  deliver(wire::Bytes(good.begin(), good.begin() + local_size + 1));
+  // Bad trailer: a segment claiming 200 token bytes the packet lacks.
+  wire::Bytes bad_trailer = good;
+  bad_trailer.insert(bad_trailer.end(), {0, 200, 3, 0});
+  deliver(bad_trailer);
+  EXPECT_EQ(router.stats().dropped_malformed, 2u);
+  EXPECT_EQ(got.size(), 1u);
+
+  // Cut in flight: DataLen claims 100 bytes, 10 arrived, then a TRM mark.
+  wire::Writer cut;
+  encode_segment(cut, route.segments[0]);
+  cut.u16(100);
+  cut.bytes(pattern_bytes(10));
+  wire::Bytes without_mark(cut.view().begin(), cut.view().end());
+  encode_segment(cut, core::HeaderSegment::truncation_marker());
+  deliver(wire::Bytes(cut.view().begin(), cut.view().end()));
+  deliver(without_mark);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[1], pattern_bytes(10));
+  EXPECT_EQ(got[2], pattern_bytes(10));
+  EXPECT_EQ(router.stats().delivered_control, 3u);
+  EXPECT_EQ(router.stats().dropped_malformed, 2u);
 }
 
 }  // namespace
