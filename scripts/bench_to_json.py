@@ -3,7 +3,10 @@
 
 Runs the google-benchmark binary bench_overhead with
 --benchmark_format=json --benchmark_min_time=0.5 and folds every
-benchmark into a flat {name: ns_per_op} map using cpu_time; then runs bench_scalability and
+benchmark into a flat {name: ns_per_op} map using cpu_time; then runs
+`bench_overhead --paired`, whose flat JSON object (the interleaved
+pair:<num>:<den>:num_ns / den_ns timings check_overhead.py gates on) is
+merged in as is; then runs bench_scalability and
 records its ENGINE_NS line (the forwarding engine's ns/packet) under
 scalability.batched_engine, the key earlier artifacts used for the same
 engine; then runs bench_header_overhead and records
@@ -41,6 +44,10 @@ def run_gbench(bindir, results):
         capture_output=True, text=True, check=True).stdout
     for bench in json.loads(out)["benchmarks"]:
         results[bench["name"]] = float(bench["cpu_time"])
+    paired = subprocess.run(
+        [f"{bindir}/bench_overhead", "--paired"],
+        capture_output=True, text=True, check=True).stdout
+    results.update(json.loads(paired))
 
 
 def run_scalability(bindir, results):

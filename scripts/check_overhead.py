@@ -2,9 +2,14 @@
 """Gate on the data-path cost contracts of the observability planes.
 
 Reads the flat {name: ns_per_op} results that bench_to_json.py writes
-(BENCH_CI.json: bench_overhead's cpu_time per benchmark) and fails if any
-ratio in GATES exceeds its bound.  Each ratio compares a plane's mode
-against its baseline.  The bounds are deliberately loose,
+(BENCH_CI.json) and fails if any ratio in GATES exceeds its bound.  Each
+ratio compares a plane's mode against its baseline, as measured by
+`bench_overhead --paired`: the two sides run interleaved in short slices
+over repeated rounds, each side keeps every slice's fastest repetition,
+and the ratio divides the sums (keys pair:<num>:<den>:num_ns and
+...:den_ns).  A single unrepeated sample per benchmark, the statistic
+before, failed some row in one run of five on a shared VM.  The bounds
+are deliberately loose,
 since CI machines are noisy, but they still catch the failure the
 contracts forbid: per-packet work (allocation, locking, encoding)
 appearing on a path that should cost one untaken branch.  A benchmark
@@ -33,29 +38,37 @@ GATES = [
 ]
 
 
+def pair_keys(num, den):
+    """The paired measurement's keys: numerator and denominator ns/op."""
+    return f"pair:{num}:{den}:num_ns", f"pair:{num}:{den}:den_ns"
+
+
 def check(times):
     """Prints one line per gate; returns the number of failures."""
     failures = 0
     for num, den, bound, what in GATES:
-        if num not in times or den not in times:
-            missing = num if num not in times else den
-            print(f"FAIL {what}: benchmark {missing!r} missing")
+        num_key, den_key = pair_keys(num, den)
+        if num_key not in times or den_key not in times:
+            missing = num_key if num_key not in times else den_key
+            print(f"FAIL {what}: paired result {missing!r} missing")
             failures += 1
             continue
-        ratio = times[num] / times[den]
+        ratio = times[num_key] / times[den_key]
         verdict = "ok  " if ratio <= bound else "FAIL"
         failures += ratio > bound
-        print(f"{verdict} {what}: {num} {times[num]:.1f} ns / {den} "
-              f"{times[den]:.1f} ns = {ratio:.3f} (bound {bound})")
+        print(f"{verdict} {what}: {num} {times[num_key]:.1f} ns / {den} "
+              f"{times[den_key]:.1f} ns = {ratio:.3f} (bound {bound})")
     return failures
 
 
 def self_test():
     """An in-bound table passes; an over-bound ratio or a gap fails."""
-    passing = {name: 100.0 for gate in GATES for name in gate[:2]}
-    over = dict(passing, BM_ForwardFlowEnabled=151.0)
+    passing = {key: 100.0 for gate in GATES for key in pair_keys(*gate[:2])}
+    over_key = pair_keys("BM_ForwardFlowEnabled", "BM_ForwardObsNoFlow")[0]
+    over = dict(passing, **{over_key: 151.0})
     missing = dict(passing)
-    del missing["BM_FabricSendNoHealth"]
+    del missing[pair_keys("BM_FabricSendHealthEnabled",
+                          "BM_FabricSendNoHealth")[1]]
     failures = 0
     for label, times, expect in (("in-bound table passes", passing, 0),
                                  ("over-bound ratio fails", over, 1),

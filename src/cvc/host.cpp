@@ -4,7 +4,7 @@ namespace srp::cvc {
 
 CvcHost::CvcHost(sim::Simulator& sim, std::string name,
                  net::PacketFactory& packets, CvcHostConfig config)
-    : net::PortedNode(sim, std::move(name)), packets_(packets),
+    : net::PortedNode(sim, std::move(name), net::Hears::kLastBit), packets_(packets),
       config_(config) {}
 
 void CvcHost::transmit(const Frame& frame) {
@@ -64,10 +64,6 @@ void CvcHost::close(std::uint16_t circuit) {
 }
 
 void CvcHost::on_arrival(const net::Arrival& arrival) {
-  sim_.at(arrival.tail, [this, arrival] { process(arrival); });
-}
-
-void CvcHost::process(const net::Arrival& arrival) {
   if (arrival.packet->effectively_truncated()) return;
   const auto frame = decode_frame(arrival.packet->bytes);
   if (!frame.has_value()) return;

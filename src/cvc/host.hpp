@@ -56,6 +56,7 @@ class CvcHost : public net::PortedNode {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
+  /// Runs at last-bit time: a host needs the whole packet.
   void on_arrival(const net::Arrival& arrival) override;
 
  private:
@@ -66,7 +67,6 @@ class CvcHost : public net::PortedNode {
     sim::EventId timer = 0;
   };
 
-  void process(const net::Arrival& arrival);
   void transmit(const Frame& frame);
 
   net::PacketFactory& packets_;

@@ -4,7 +4,7 @@ namespace srp::ip {
 
 IpHost::IpHost(sim::Simulator& sim, std::string name,
                net::PacketFactory& packets, IpHostConfig config)
-    : net::PortedNode(sim, std::move(name)), packets_(packets),
+    : net::PortedNode(sim, std::move(name), net::Hears::kLastBit), packets_(packets),
       config_(config) {}
 
 void IpHost::send(Addr dst, std::uint8_t protocol,
@@ -25,10 +25,6 @@ void IpHost::send(Addr dst, std::uint8_t protocol,
 }
 
 void IpHost::on_arrival(const net::Arrival& arrival) {
-  sim_.at(arrival.tail, [this, arrival] { process(arrival); });
-}
-
-void IpHost::process(const net::Arrival& arrival) {
   if (arrival.packet->effectively_truncated()) {
     ++stats_.checksum_drops;
     return;

@@ -53,6 +53,7 @@ class IpHost : public net::PortedNode {
   [[nodiscard]] Addr address() const { return config_.address; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
+  /// Runs at last-bit time: a host needs the whole packet.
   void on_arrival(const net::Arrival& arrival) override;
 
  private:
@@ -63,7 +64,6 @@ class IpHost : public net::PortedNode {
     IpHeader first_header;
   };
 
-  void process(const net::Arrival& arrival);
   void accept_fragment(const IpPacketView& view);
   void deliver(const IpHeader& header, wire::Bytes payload,
                bool was_fragmented);

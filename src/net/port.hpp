@@ -134,7 +134,26 @@ class TxQueue {
 };
 
 /// Transmitter of one simplex channel, with a bounded priority queue.
-class TxPort {
+///
+/// Events per packet.  A transmission's head and tail instants are fixed
+/// when it starts (paper §6.1), so the port runs an event only where a
+/// decision can change:
+/// - the peer's arrival, at the instant the peer hears (Node::hears());
+/// - a completion, only when a packet waits behind the transmission or
+///   on_depart is set; otherwise the completion settles lazily, when the
+///   port is next used or read after it;
+/// - no wakeup for a lone packet that may not start yet (a router's
+///   decision delay, or the end of the transmission ahead of it): the port
+///   commits its start and schedules its arrival at once.  An enqueue or
+///   set_up() before that start undoes the commit and schedules the
+///   wakeup; a port whose start instants are observed (on_depart,
+///   on_queue_change, or an observer's gauge or spans) never commits.
+/// Each settled instant keeps the place in the event order its event would
+/// have had (Simulator::reserve_id()), so busy(), queue(), queue_packets(),
+/// queue_bytes() and stats() read exactly what the events would have left,
+/// at every instant.  Readers settle what has happened and never change
+/// what will.
+class TxPort final : public sim::Simulator::Debtor {
  public:
   struct Stats {
     std::uint64_t enqueued = 0;
@@ -177,18 +196,33 @@ class TxPort {
   void set_up(bool up);
   [[nodiscard]] bool is_up() const { return up_; }
 
-  [[nodiscard]] bool busy() const { return transmitting_; }
+  [[nodiscard]] bool busy() const {
+    settle();
+    return transmitting_;
+  }
   [[nodiscard]] const LinkConfig& config() const { return config_; }
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  [[nodiscard]] const Stats& stats() const {
+    settle();
+    return stats_;
+  }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Node* peer() const { return peer_; }
   [[nodiscard]] int peer_in_port() const { return peer_in_port_; }
 
   /// Queue introspection — congestion control reads the source routes of
   /// waiting packets to identify upstream feeders (paper §2.2).
-  [[nodiscard]] const TxQueue& queue() const { return queue_; }
-  [[nodiscard]] std::size_t queue_bytes() const { return queue_bytes_; }
-  [[nodiscard]] std::size_t queue_packets() const { return queue_.size(); }
+  [[nodiscard]] const TxQueue& queue() const {
+    settle();
+    return queue_;
+  }
+  [[nodiscard]] std::size_t queue_bytes() const {
+    settle();
+    return queue_bytes_;
+  }
+  [[nodiscard]] std::size_t queue_packets() const {
+    settle();
+    return queue_.size();
+  }
 
   /// Fault-injection hook; empty (one untaken branch) in normal operation.
   FaultHook fault_hook;
@@ -200,7 +234,9 @@ class TxPort {
   std::function<bool(PacketPtr, TxMeta)> overflow_handler;
 
   /// Observation hooks for the congestion controller / stats collectors.
-  /// Called after a packet is accepted, and after each departure.
+  /// Called after a packet is accepted, and after each departure.  Set
+  /// them before traffic: on_depart and on_queue_change make the port run
+  /// the completion and wakeup events they observe.
   std::function<void(const Packet&)> on_enqueue;
   std::function<void(const Packet&)> on_depart;
   /// Called when the queue length changes (for time-weighted averages).
@@ -218,12 +254,35 @@ class TxPort {
   /// path pays exactly one untaken branch.
   void set_observer(const obs::Observer& observer);
 
+  /// The end of the transmission in progress or committed, when it
+  /// settles without an event; 0 otherwise.
+  [[nodiscard]] sim::Time owed_until() const override;
+
  private:
-  void try_start(sim::Time not_before);
+  void try_start();
   void start_transmission(Queued item, sim::Time start);
+  /// Schedules the peer's arrival of @p item; returns its id (0: no peer).
+  sim::EventId schedule_arrival(const Queued& item, sim::Time start,
+                                sim::Time end);
+  /// Schedules the completion event of the transmission in progress in its
+  /// reserved place, if it has none.
+  void schedule_completion();
   void complete_transmission();
   void abort_transmission();
   void notify_queue_change();
+  /// True when nothing observes the instant a transmission starts or ends.
+  [[nodiscard]] bool unobserved() const;
+  /// Commits the queue's lone packet to start at (@p start, @p start_id).
+  void commit(sim::Time start, sim::EventId start_id);
+  /// Returns a commit whose start has not run to the event path.
+  void undo_commit();
+  /// Applies the lazy completion and committed start the clock has passed.
+  void settle() const {
+    if ((transmitting_ && completion_event_ == 0) || committed_) {
+      const_cast<TxPort*>(this)->settle_now();
+    }
+  }
+  void settle_now();
 
   sim::Simulator& sim_;
   std::string name_;
@@ -241,12 +300,23 @@ class TxPort {
   stats::Histogram* obs_queue_wait_ = nullptr;
   obs::FlightRecorder* obs_recorder_ = nullptr;
 
+  Hears peer_hears_ = Hears::kFirstBit;
+
   bool transmitting_ = false;
   Queued current_;
   sim::Time current_start_ = 0;
   sim::Time current_end_ = 0;
-  sim::EventId completion_event_ = 0;
+  sim::EventId current_end_id_ = 0;    ///< the completion's reserved place
+  sim::EventId completion_event_ = 0;  ///< 0: the completion settles lazily
   sim::EventId wakeup_event_ = 0;
+
+  // A committed start: queue_.front() begins transmitting at
+  // (commit_start_, commit_start_id_); its arrival is already scheduled.
+  bool committed_ = false;
+  sim::Time commit_start_ = 0;
+  sim::EventId commit_start_id_ = 0;
+  sim::EventId commit_end_id_ = 0;
+  sim::EventId commit_arrival_ = 0;
 
   Stats stats_;
 };

@@ -10,10 +10,15 @@ namespace {
 constexpr std::size_t kArity = 4;
 }  // namespace
 
-EventId EventQueue::schedule(Time when, Callback&& cb) {
+EventId EventQueue::reserve_id() {
   if (next_seq_ >> (64 - kSlotBits) != 0) {
     throw std::length_error("EventQueue: event id space exhausted");
   }
+  return next_seq_++ << kSlotBits;
+}
+
+EventId EventQueue::schedule(Time when, EventId reserved, Callback&& cb) {
+  SIRPENT_EXPECTS((reserved & kSlotMask) == 0);  // an id from reserve_id()
   std::size_t slot = slots_.size();
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -24,7 +29,7 @@ EventId EventQueue::schedule(Time when, Callback&& cb) {
     }
     slots_.emplace_back();
   }
-  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  const EventId id = reserved | slot;
   slots_[slot].id = id;
   slots_[slot].cb = std::move(cb);
   ++live_;
@@ -89,11 +94,12 @@ Time EventQueue::next_time() const {
   return heap_.empty() ? kTimeInfinity : heap_.front().when;
 }
 
-std::pair<Time, EventQueue::Callback> EventQueue::pop() {
+std::pair<Time, EventQueue::Callback> EventQueue::pop(EventId& id) {
   drop_stale();
   SIRPENT_EXPECTS(!heap_.empty());  // pop() on empty EventQueue
   const Key top = heap_.front();
   pop_top();
+  id = top.id;
   const std::size_t slot = top.id & kSlotMask;
   std::pair<Time, Callback> out{top.when, std::move(slots_[slot].cb)};
   free_slot(slot);

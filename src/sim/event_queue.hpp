@@ -27,12 +27,26 @@ using EventId = std::uint64_t;
 /// pop are O(log n).  Once the slot table and heap have grown to the
 /// run's peak, scheduling, popping and cancelling allocate nothing unless
 /// a capture outgrows Callback::kInlineBytes.
+///
+/// reserve_id() takes the next id without scheduling anything: a component
+/// that settles an instant without an event (a port's completion) holds
+/// that id as the instant's place in the order, and schedules it later
+/// only if something must run there.
 class EventQueue {
  public:
   using Callback = sim::Callback;
 
   /// Schedules @p cb to run at @p when.  Returns a handle for cancel().
-  EventId schedule(Time when, Callback&& cb);
+  EventId schedule(Time when, Callback&& cb) {
+    return schedule(when, reserve_id(), std::move(cb));
+  }
+
+  /// Takes the next id in schedule order without scheduling an event.
+  EventId reserve_id();
+
+  /// Schedules @p cb at @p when in the place of @p reserved, an id from
+  /// reserve_id() not scheduled before.  Returns the handle for cancel().
+  EventId schedule(Time when, EventId reserved, Callback&& cb);
 
   /// Cancels a previously scheduled event and destroys its callback.
   /// Cancelling an event that has already run (or was already cancelled)
@@ -49,7 +63,12 @@ class EventQueue {
   [[nodiscard]] Time next_time() const;
 
   /// Removes and returns the earliest live event.  Precondition: !empty().
-  std::pair<Time, Callback> pop();
+  std::pair<Time, Callback> pop() {
+    EventId id = 0;
+    return pop(id);
+  }
+  /// As pop(), also storing the event's id in @p id.
+  std::pair<Time, Callback> pop(EventId& id);
 
  private:
   static constexpr unsigned kSlotBits = 24;

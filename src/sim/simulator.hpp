@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -19,9 +20,38 @@ namespace srp::sim {
 ///
 /// Single-threaded by contract: at()/after()/run*() from any thread but
 /// the constructing one violate SIRPENT_EXPECTS in contract-enabled builds.
+///
+/// Instants without events.  A component may settle an instant that no
+/// decision depends on without running an event there (a port's
+/// completion with nothing queued behind it): it takes the instant's
+/// place in the event order with reserve_id(), asks ran() whether the
+/// clock has passed that place, and schedules it with at(when, reserved,
+/// cb) only if something must run there after all.  Such a component is a
+/// Debtor: when the event queue drains, run() moves the clock to the
+/// latest instant a debtor still owes, where the event would have left
+/// it.
 class Simulator {
  public:
+  /// A component owing the clock instants it settles without events.
+  /// Registers with its simulator for its lifetime.
+  class Debtor {
+   public:
+    explicit Debtor(Simulator& sim);
+    virtual ~Debtor();
+    Debtor(const Debtor&) = delete;
+    Debtor& operator=(const Debtor&) = delete;
+
+    /// The latest instant this component settles without an event, or 0.
+    [[nodiscard]] virtual Time owed_until() const = 0;
+
+   private:
+    friend class Simulator;
+    Simulator* sim_;
+    std::size_t index_;
+  };
+
   Simulator() = default;
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -29,7 +59,22 @@ class Simulator {
   [[nodiscard]] Time now() const { return now_; }
 
   /// Schedules @p cb at absolute time @p when (>= now()).
-  EventId at(Time when, EventQueue::Callback cb);
+  EventId at(Time when, EventQueue::Callback cb) {
+    return at(when, reserve_id(), std::move(cb));
+  }
+
+  /// Schedules @p cb at @p when (>= now()) in the place of @p reserved.
+  EventId at(Time when, EventId reserved, EventQueue::Callback cb);
+
+  /// Takes the next place in the event order without scheduling.
+  EventId reserve_id() { return events_.reserve_id(); }
+
+  /// True once the clock has passed an event scheduled at @p when with id
+  /// @p id: it is earlier than now(), or at now() and ordered before the
+  /// event running (between events, before every pending one).
+  [[nodiscard]] bool ran(Time when, EventId id) const {
+    return when < now_ || (when == now_ && id < current_);
+  }
 
   /// Schedules @p cb @p delay after now().
   EventId after(Time delay, EventQueue::Callback cb) {
@@ -39,14 +84,16 @@ class Simulator {
   /// Cancels a pending event (no-op if it already ran).
   void cancel(EventId id) { events_.cancel(id); }
 
-  /// Runs until the event queue drains.  Returns the number of events run.
+  /// Runs until the event queue drains, then moves the clock to the latest
+  /// instant a Debtor owes.  Returns the number of events run.
   std::uint64_t run();
 
   /// Runs events with time <= @p deadline, then sets the clock to
   /// @p deadline.  Returns the number of events run.
   std::uint64_t run_until(Time deadline);
 
-  /// Runs at most @p max_events events (for watchdog-style tests).
+  /// Runs at most @p max_events events (for watchdog-style tests); settles
+  /// debts as run() does if the queue drains.
   std::uint64_t run_steps(std::uint64_t max_events);
 
   /// Number of events still pending.
@@ -54,9 +101,15 @@ class Simulator {
 
  private:
   bool step();
+  /// The queue drained: moves the clock to the latest instant owed.
+  void settle_debts();
 
   EventQueue events_;
   Time now_ = 0;
+  /// Id of the event running, or of the last one run; kAllRan once every
+  /// event up to now() has run.
+  EventId current_ = 0;
+  std::vector<Debtor*> debtors_;
   decltype(std::this_thread::get_id()) owner_ = std::this_thread::get_id();
 };
 

@@ -10,7 +10,7 @@ namespace srp::viper {
 
 ViperHost::ViperHost(sim::Simulator& sim, std::string name,
                      net::PacketFactory& packets)
-    : net::PortedNode(sim, std::move(name)), packets_(packets) {}
+    : net::PortedNode(sim, std::move(name), net::Hears::kLastBit), packets_(packets) {}
 
 void ViperHost::set_port_kind(int port_index, PortKind kind) {
   if (port_index <= 0) throw std::out_of_range("bad port index");
@@ -118,11 +118,6 @@ std::uint64_t ViperHost::reply(const Delivery& delivery,
   options.out_port = delivery.in_port;
   options.link = delivery.reply_link;
   return send(reply_route_, data, options);
-}
-
-SRP_SIM_VISIBLE void ViperHost::on_arrival(const net::Arrival& arrival) {
-  // A host needs the whole packet (data + trailer): act at last-bit time.
-  sim_.at(arrival.tail, [this, arrival] { process(arrival); });
 }
 
 namespace {
@@ -276,7 +271,7 @@ SRP_HOT_PATH ParsedArrival parse_delivery(std::span<const std::uint8_t> bytes,
 
 }  // namespace
 
-void ViperHost::process(const net::Arrival& arrival) {
+SRP_SIM_VISIBLE void ViperHost::on_arrival(const net::Arrival& arrival) {
   const net::Packet& packet = *arrival.packet;
   const ParsedArrival parsed = parse_delivery(
       packet.bytes, port_kind(arrival.in_port) == PortKind::kLan, delivery_);

@@ -133,11 +133,10 @@ class ViperHost : public net::PortedNode {
   void set_path_telemetry(obs::PathCollector* collector, std::uint64_t seed,
                           std::uint32_t sample_period);
 
+  /// Runs at last-bit time: a host needs the whole packet.
   void on_arrival(const net::Arrival& arrival) override;
 
  private:
-  void process(const net::Arrival& arrival);
-
   net::PacketFactory& packets_;
   std::vector<PortKind> port_kinds_;
   std::map<std::uint64_t, Handler> endpoints_;

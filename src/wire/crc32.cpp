@@ -1,30 +1,60 @@
 #include "wire/crc32.hpp"
 
 #include <array>
+#include <cstddef>
 
 namespace srp::wire {
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Table = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: kTables[0] is the byte-at-a-time table; entry i of
+/// kTables[k] is the CRC register after i is followed by k zero bytes, so
+/// eight bytes fold into the register with eight independent lookups.
+constexpr Table make_tables() {
+  Table t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xFF];
+    }
+  }
+  return t;
 }
 
-constexpr auto kTable = make_table();
+constexpr Table kTables = make_tables();
+
+/// Little-endian load; compiles to one unaligned load on common targets.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t b : data) {
-    c = kTable[(c ^ b) & 0xFF] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+        kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+        kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    c = kTables[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

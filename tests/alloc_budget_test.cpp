@@ -287,6 +287,47 @@ INSTANTIATE_TEST_SUITE_P(
       return shape_name(info.param);
     });
 
+/// Simulator events per delivered packet across an 8-router line, in
+/// bursts of four 64 B packets sent back to back.  A transmission's head
+/// and tail instants are fixed when it starts, so the simulator runs an
+/// event only where a decision can change: each link's arrival (at the
+/// router's first bit, at the host's last bit), plus the sending host's
+/// completions that start the packets queued behind them.  Routers commit
+/// each start (decision delay, or back to back behind the packet ahead)
+/// and settle completions lazily, so they run none.  Measured: 9.75, the
+/// 9 arrivals and 3 completions per burst of 4.  The budget is the
+/// measured value plus one.
+constexpr double kLineEventBudget = 10.75;
+
+TEST(EventBudget, LineForwardingRunsWithinBudget) {
+  sim::Simulator sim;
+  dir::Fabric fabric{sim};
+  test::Line line = test::build_line(fabric, 8, "src.test", "dst.test");
+  std::uint64_t delivered = 0;
+  line.dst->set_default_handler([&](const viper::Delivery&) { ++delivered; });
+  const core::SourceRoute route = line_route(8);
+  const wire::Bytes payload = pattern_bytes(64);
+
+  constexpr int kBursts = 50;
+  constexpr int kBurst = 4;
+  std::uint64_t events = 0;
+  for (int b = 0; b < kBursts; ++b) {
+    for (int i = 0; i < kBurst; ++i) line.src->send(route, payload);
+    events += sim.run();
+  }
+  ASSERT_EQ(delivered, static_cast<std::uint64_t>(kBursts * kBurst));
+  const double per_packet =
+      static_cast<double>(events) / static_cast<double>(delivered);
+  EXPECT_LE(per_packet, kLineEventBudget)
+      << "the line now runs " << per_packet << " events per packet";
+  // Every link needs its arrival: 9 links, 9 events at the least.
+  EXPECT_GE(per_packet, 9.0);
+  for (net::PortedNode* node : line.routers) {
+    EXPECT_EQ(node->port(2).stats().sent, delivered);
+  }
+  EXPECT_EQ(line.src->port(1).stats().sent, delivered);
+}
+
 /// Node at the far end of a link that only counts what arrives.
 struct CountingSink final : net::Node {
   CountingSink() : net::Node("alloc.sink") {}
@@ -296,8 +337,8 @@ struct CountingSink final : net::Node {
 
 /// The forward path with its port machinery live: packets cross the
 /// router one at a time through an up, idle egress port, and the
-/// simulator runs each transmission's completion and the far end's
-/// arrival before the next packet comes.  Every enqueue therefore lands on
+/// simulator runs the far end's arrival and settles each transmission
+/// before the next packet comes.  Every enqueue therefore lands on
 /// an empty queue and leaves it empty again — the case a node-based queue
 /// pays an allocation for on every packet.  Once warm, nothing allocates.
 TEST(AllocBudget, ForwardThroughIdlePortIsAllocationFreeOnceWarm) {

@@ -317,6 +317,50 @@ TEST(TxQueueProperty, RingMatchesDequeModel) {
 // rank, preempting, drop-if-blocked), completions, preempt-aborts and
 // link flaps keep the port's queue, counters and transmission order
 // exactly where a std::deque model of the paper's rules puts them.
+TEST_F(NetFixture, CommittedStartReadsAsQueuedUntilItsInstant) {
+  auto& a = net.add<SinkNode>("a");
+  auto& b = net.add<SinkNode>("b");
+  const auto [pa, _] =
+      net.duplex(a, b, LinkConfig{1e9, sim::kMicrosecond, 1500});
+  TxPort& port = a.port(pa);
+  // An idle port whose lone packet may not start before 2 us commits the
+  // start: the one event is b's arrival at 3 us, with no wakeup.
+  port.enqueue(make_packet(1250), TxMeta{}, 2 * sim::kMicrosecond);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(sim::kMicrosecond);
+  EXPECT_FALSE(port.busy());
+  EXPECT_EQ(port.queue_packets(), 1u);
+  EXPECT_EQ(port.queue_bytes(), 1250u);
+  sim.run_until(2 * sim::kMicrosecond);
+  EXPECT_TRUE(port.busy());
+  EXPECT_EQ(port.queue_packets(), 0u);
+  EXPECT_EQ(port.queue_bytes(), 0u);
+  EXPECT_EQ(port.stats().sent, 0u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.now(), 12 * sim::kMicrosecond);
+  EXPECT_EQ(port.stats().sent, 1u);
+  ASSERT_EQ(b.arrivals.size(), 1u);
+  EXPECT_EQ(b.arrivals[0].head, 3 * sim::kMicrosecond);
+}
+
+TEST_F(NetFixture, EnqueueBeforeACommittedStartFallsBackToTheWakeup) {
+  auto& a = net.add<SinkNode>("a");
+  auto& b = net.add<SinkNode>("b");
+  const auto [pa, _] =
+      net.duplex(a, b, LinkConfig{1e9, sim::kMicrosecond, 1500});
+  TxPort& port = a.port(pa);
+  port.enqueue(make_packet(1250), TxMeta{}, 2 * sim::kMicrosecond);
+  sim.at(sim::kMicrosecond, [&] { port.enqueue(make_packet(1250), TxMeta{}); });
+  // The second enqueue undoes the commit: the wakeup at 2 us starts the
+  // first packet, whose completion at 12 us starts the second.
+  EXPECT_EQ(sim.run(), 5u);  // enqueue, wakeup, completion, 2 arrivals
+  EXPECT_EQ(sim.now(), 22 * sim::kMicrosecond);
+  EXPECT_EQ(port.stats().sent, 2u);
+  ASSERT_EQ(b.arrivals.size(), 2u);
+  EXPECT_EQ(b.arrivals[0].head, 3 * sim::kMicrosecond);
+  EXPECT_EQ(b.arrivals[1].head, 13 * sim::kMicrosecond);
+}
+
 TEST_F(NetFixture, PortQueueMatchesDequeModel) {
   auto& a = net.add<SinkNode>("a");
   auto& b = net.add<SinkNode>("b");
@@ -364,10 +408,18 @@ TEST_F(NetFixture, PortQueueMatchesDequeModel) {
         }
       }
     } else if (what < 92) {
-      // Run the simulator until the transmission in progress completes.
+      // Run the clock until the transmission in progress completes.  A
+      // completion with nothing behind it settles without an event, so
+      // the clock advances in steps no longer than the shortest packet's
+      // transmission: each step crosses at most one completion.
       if (!current) continue;
       const std::uint64_t sent = port.stats().sent;
-      while (port.stats().sent == sent) ASSERT_EQ(sim.run_steps(1), 1u);
+      const sim::Time step = port.tx_time(64);
+      for (int steps = 0; port.stats().sent == sent; ++steps) {
+        ASSERT_LT(steps, 100) << "the transmission never completed";
+        sim.run_until(sim.now() + step);
+      }
+      ASSERT_EQ(port.stats().sent, sent + 1);
       ++expect.sent;
       current.reset();
       start_next();

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -72,10 +73,47 @@ struct Planes {
   flow::FlowPlane flow{flow::FlowConfig{}, &registry, &recorder};
 };
 
+/// Reads every port's state, as a health probe, the INT stamp or a
+/// logical-link choice would, on every tick of a fixed period.  The reads
+/// feed a sum nothing consumes: a reader must not steer.
+class PortPoller {
+ public:
+  PortPoller(sim::Simulator& sim, dir::Fabric& fabric, sim::Time period,
+             sim::Time until)
+      : sim_(sim), period_(period), until_(until) {
+    for (const viper::ViperRouter* r : fabric.routers()) nodes_.push_back(r);
+    for (const viper::ViperHost* h : fabric.hosts()) nodes_.push_back(h);
+    sim_.at(period_, [this] { tick(); });
+  }
+  PortPoller(const PortPoller&) = delete;
+  PortPoller& operator=(const PortPoller&) = delete;
+
+  std::uint64_t sum = 0;
+
+ private:
+  void tick() {
+    for (const net::PortedNode* node : nodes_) {
+      for (int p = 1; p <= node->port_count(); ++p) {
+        const net::TxPort& port = node->port(p);
+        sum += port.busy() ? 1 : 0;
+        sum += port.queue_packets() + port.queue_bytes();
+        sum += port.stats().sent + port.stats().bytes_sent;
+      }
+    }
+    if (sim_.now() + period_ < until_) sim_.after(period_, [this] { tick(); });
+  }
+
+  sim::Simulator& sim_;
+  sim::Time period_;
+  sim::Time until_;
+  std::vector<const net::PortedNode*> nodes_;
+};
+
 /// bulk.obs (16 KB requests back to back) and light.obs (one-packet
 /// requests with a pause) both feed r1, whose port toward r2 is a
-/// 50 Mb/s bottleneck in front of the server.
-Outcome run_fan_in(Planes* planes) {
+/// 50 Mb/s bottleneck in front of the server.  With @p poll, every port
+/// is also read every 700 ns of simulated time.
+Outcome run_fan_in(Planes* planes, bool poll = false) {
   sim::Simulator sim;
   dir::Fabric fabric(sim);
   auto& bulk = fabric.add_host("bulk.obs");
@@ -168,7 +206,12 @@ Outcome run_fan_in(Planes* planes) {
     sim.at(static_cast<sim::Time>(i + 1) * 10 * sim::kMicrosecond,
            [&, i] { next_txn[i](); });
   }
+  std::optional<PortPoller> poller;
+  if (poll) poller.emplace(sim, fabric, 700 * sim::kNanosecond, kRunFor);
   sim.run_until(kRunFor);
+  if (poller) {
+    EXPECT_GT(poller->sum, 0u);
+  }
 
   for (viper::ViperRouter* router : fabric.routers()) {
     out.routers.push_back(router->stats());
@@ -219,6 +262,41 @@ TEST(ObservationInvariance, EveryPlaneWiredChangesNoSimulatedOutcome) {
   EXPECT_EQ(observed.throttles, bare.throttles);
   EXPECT_EQ(observed.ledger, bare.ledger);
   EXPECT_EQ(observed.end, bare.end);
+}
+
+void expect_same_outcome(const Outcome& got, const Outcome& bare) {
+  ASSERT_EQ(got.logs.size(), bare.logs.size());
+  for (std::size_t h = 0; h < bare.logs.size(); ++h) {
+    EXPECT_EQ(got.logs[h], bare.logs[h]) << "delivery log of host " << h;
+  }
+  EXPECT_EQ(got.routers, bare.routers);
+  EXPECT_EQ(got.ports, bare.ports);
+  EXPECT_EQ(got.hosts, bare.hosts);
+  EXPECT_EQ(got.vmtp, bare.vmtp);
+  EXPECT_EQ(got.controllers, bare.controllers);
+  EXPECT_EQ(got.throttles, bare.throttles);
+  EXPECT_EQ(got.ledger, bare.ledger);
+  EXPECT_EQ(got.end, bare.end);
+}
+
+// Readers never steer.  A port settles completions and committed starts
+// without events, so its readers (busy(), queue_packets(), queue_bytes(),
+// stats()) must compute the state the events would have left and never
+// change what happens next.  Polling every port on a fixed tick, in the
+// observed run (every start and departure runs as an event) and in the
+// bare run (starts committed, completions settled lazily), must leave
+// every outcome of the unpolled bare run unchanged.
+TEST(ObservationInvariance, PollingEveryPortChangesNoSimulatedOutcome) {
+  const Outcome bare = run_fan_in(nullptr);
+  {
+    SCOPED_TRACE("bare run, polled");
+    expect_same_outcome(run_fan_in(nullptr, /*poll=*/true), bare);
+  }
+  {
+    SCOPED_TRACE("observed run, polled");
+    Planes planes;
+    expect_same_outcome(run_fan_in(&planes, /*poll=*/true), bare);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "check/contract.hpp"
+#include "net/port.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -255,6 +256,135 @@ TEST(Simulator, CancelPendingEvent) {
   sim.cancel(id);
   sim.run();
   EXPECT_FALSE(ran);
+}
+
+TEST(Simulator, ReservedIdKeepsItsPlaceInTheOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventId reserved = sim.reserve_id();
+  sim.at(10, [&] { order.push_back(2); });
+  // Scheduled last, ordered first: the id was taken before the other's.
+  sim.at(10, reserved, [&] { order.push_back(1); });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Simulator, RanTracksThePlaceOfTheRunningEvent) {
+  Simulator sim;
+  const EventId before = sim.reserve_id();
+  EventId after = 0;
+  std::vector<bool> seen;
+  sim.at(10, [&] {
+    seen.push_back(sim.ran(10, before));
+    seen.push_back(sim.ran(10, after));
+    seen.push_back(sim.ran(9, after));
+    seen.push_back(sim.ran(11, before));
+  });
+  after = sim.reserve_id();
+  EXPECT_FALSE(sim.ran(0, before));  // nothing at now() has run yet
+  sim.run_steps(1);
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, true, false}));
+  // Between events, an instant at now() ordered after the last one run
+  // is still ahead; once run_until() passes now(), nothing is.
+  EXPECT_FALSE(sim.ran(10, after));
+  sim.run_until(10);
+  EXPECT_TRUE(sim.ran(10, after));
+}
+
+/// A component owing the clock one instant, which it may withdraw.
+class OneDebt final : public Simulator::Debtor {
+ public:
+  using Debtor::Debtor;
+  Time owed_until() const override { return owed; }
+  Time owed = 0;
+};
+
+TEST(Simulator, DrainedRunMovesTheClockToTheLatestDebt) {
+  Simulator sim;
+  OneDebt a(sim);
+  OneDebt b(sim);
+  {
+    OneDebt gone(sim);  // unregisters when destroyed
+    gone.owed = 900;
+  }
+  a.owed = 300;
+  b.owed = 500;
+  sim.at(100, [] {});
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.now(), 500);
+  // A withdrawn debt does not count, and the clock never moves back.
+  b.owed = 0;
+  sim.at(600, [] {});
+  sim.run();
+  EXPECT_EQ(sim.now(), 600);
+  // run_until() stops at its deadline whatever is owed.
+  a.owed = 2000;
+  sim.run_until(1000);
+  EXPECT_EQ(sim.now(), 1000);
+}
+
+/// Far end of a link that records arrival instants.
+class TimedSink final : public net::Node {
+ public:
+  TimedSink(Simulator& sim, net::Hears hears)
+      : net::Node("sim.sink", hears), sim_(sim) {}
+  void on_arrival(const net::Arrival&) override { at.push_back(sim_.now()); }
+  std::vector<Time> at;
+
+ private:
+  Simulator& sim_;
+};
+
+/// One 1250 B packet on a 1 Gb/s link with 1 us propagation: 10 us on the
+/// wire, first bit at the peer at 1 us, last bit at 11 us.
+net::PacketPtr packet_1250(net::PacketFactory& packets) {
+  return packets.make(wire::Bytes(1250, 0xAB), 0);
+}
+const net::LinkConfig kDrainLink{1e9, kMicrosecond, 1500};
+
+TEST(SimulatorDrain, RunEndsAtTheLastOwedCompletion) {
+  Simulator sim;
+  net::PacketFactory packets;
+  TimedSink sink(sim, net::Hears::kFirstBit);
+  net::TxPort port(sim, "drain:p1", kDrainLink);
+  port.connect(&sink, 1);
+  port.enqueue(packet_1250(packets), net::TxMeta{});
+  // The arrival is the one event: nothing waits behind the transmission,
+  // so its completion at 10 us settles without one.
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sink.at, (std::vector<Time>{kMicrosecond}));
+  EXPECT_EQ(sim.now(), 10 * kMicrosecond);
+  EXPECT_FALSE(port.busy());
+  EXPECT_EQ(port.stats().sent, 1u);
+  EXPECT_EQ(port.stats().busy_time, 10 * kMicrosecond);
+}
+
+TEST(SimulatorDrain, LastBitReceiverHearsAtTail) {
+  Simulator sim;
+  net::PacketFactory packets;
+  TimedSink sink(sim, net::Hears::kLastBit);
+  net::TxPort port(sim, "drain:p1", kDrainLink);
+  port.connect(&sink, 1);
+  port.enqueue(packet_1250(packets), net::TxMeta{});
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sink.at, (std::vector<Time>{11 * kMicrosecond}));
+  EXPECT_EQ(sim.now(), 11 * kMicrosecond);
+}
+
+TEST(SimulatorDrain, AbortedTransmissionDoesNotAdvanceTheClock) {
+  Simulator sim;
+  net::PacketFactory packets;
+  TimedSink sink(sim, net::Hears::kFirstBit);
+  net::TxPort port(sim, "drain:p1", kDrainLink);
+  port.connect(&sink, 1);
+  port.enqueue(packet_1250(packets), net::TxMeta{});
+  sim.at(4 * kMicrosecond, [&] { port.set_up(false); });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(sim.now(), 4 * kMicrosecond);
+  EXPECT_EQ(port.stats().sent, 0u);
+  EXPECT_EQ(port.stats().preempt_aborts, 1u);
+  EXPECT_EQ(port.stats().busy_time, 4 * kMicrosecond);
 }
 
 TEST(TimeMath, TransmissionTimeRoundsUp) {

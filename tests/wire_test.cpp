@@ -1,6 +1,10 @@
 // Unit tests for wire-format serialization and checksums.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <span>
+
 #include "wire/buffer.hpp"
 #include "wire/checksum.hpp"
 #include "wire/crc32.hpp"
@@ -114,6 +118,36 @@ TEST(Crc32, KnownVectors) {
   const Bytes check{'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(check), 0xCBF43926u);
   EXPECT_EQ(crc32(Bytes{}), 0x00000000u);
+}
+
+/// Bit-at-a-time CRC-32, the definition the table-driven one must match.
+std::uint32_t crc32_reference(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::mt19937_64 rng(0xC3C32);
+  Bytes buffer(4096 + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
+  // Every length around the 8-byte stride, then random lengths up to 4 KB,
+  // each at all eight start offsets.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  std::uniform_int_distribution<std::size_t> length(0, 4096);
+  for (int i = 0; i < 200; ++i) lengths.push_back(length(rng));
+  lengths.push_back(4096);
+  for (const std::size_t n : lengths) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::span<const std::uint8_t> data(buffer.data() + offset, n);
+      ASSERT_EQ(crc32(data), crc32_reference(data))
+          << "length " << n << " offset " << offset;
+    }
+  }
 }
 
 TEST(Crc32, DetectsBitFlip) {
