@@ -73,8 +73,7 @@ struct IpChain {
   static constexpr ip::Addr kSrc = 0x0A000001;
   static constexpr ip::Addr kDst = 0x0A000002;
 
-  static IpChain make(int hops, const net::LinkConfig& link,
-                      ip::IpRouterConfig router_config = {}) {
+  static IpChain make(int hops, const net::LinkConfig& link) {
     IpChain chain;
     chain.sim = std::make_unique<sim::Simulator>();
     chain.fabric = std::make_unique<ip::IpFabric>(*chain.sim);
@@ -83,7 +82,7 @@ struct IpChain {
     for (int i = 0; i < hops; ++i) {
       auto& r = chain.fabric->add_router(
           "r" + std::to_string(i),
-          0x0A0000F0 + static_cast<ip::Addr>(i), router_config);
+          0x0A0000F0 + static_cast<ip::Addr>(i));
       chain.fabric->connect(*prev, r, link);
       chain.routers.push_back(&r);
       prev = &r;
@@ -110,16 +109,14 @@ struct CvcChain {
   std::vector<cvc::CvcSwitch*> switches;
   std::vector<std::uint8_t> setup_route;  ///< port 2 at every switch
 
-  static CvcChain make(int hops, const net::LinkConfig& link,
-                       cvc::SwitchConfig switch_config = {}) {
+  static CvcChain make(int hops, const net::LinkConfig& link) {
     CvcChain chain;
     chain.sim = std::make_unique<sim::Simulator>();
     chain.net = std::make_unique<net::Network>(*chain.sim);
     chain.src = &chain.net->add<cvc::CvcHost>("src", chain.net->packets());
     net::PortedNode* prev = chain.src;
     for (int i = 0; i < hops; ++i) {
-      auto& s = chain.net->add<cvc::CvcSwitch>("s" + std::to_string(i),
-                                               switch_config);
+      auto& s = chain.net->add<cvc::CvcSwitch>("s" + std::to_string(i));
       chain.net->duplex(*prev, s, link);
       chain.switches.push_back(&s);
       chain.setup_route.push_back(2);

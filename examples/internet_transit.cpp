@@ -41,10 +41,10 @@ int main() {
   constexpr ip::Addr kWestAddr = 0x0A010001, kEastAddr = 0x0A020001;
   auto& west_ip = net.add<ip::IpHost>(
       "gw-west-ip", net.packets(),
-      ip::IpHostConfig{kWestAddr, 500 * sim::kMillisecond, 64, 64});
+      ip::IpHostConfig{kWestAddr});
   auto& east_ip = net.add<ip::IpHost>(
       "gw-east-ip", net.packets(),
-      ip::IpHostConfig{kEastAddr, 500 * sim::kMillisecond, 64, 64});
+      ip::IpHostConfig{kEastAddr});
   auto& backbone1 = net.add<ip::IpRouter>("bb1", net.packets(),
                                           ip::IpRouterConfig{0x0A0100FE});
   auto& backbone2 = net.add<ip::IpRouter>("bb2", net.packets(),

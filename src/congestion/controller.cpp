@@ -2,14 +2,35 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 
 namespace srp::cc {
+namespace {
+
+/// The feeders of a queue of packets: their distinct arrival ports
+/// ("because the congested router has access to the source route, it can
+/// easily determine the upstream routers feeding the queue").
+template <typename Queue>
+std::set<int> feeders_of(const Queue& queue) {
+  std::set<int> feeders;
+  for (const auto& entry : queue) {
+    if (entry.packet->last_in_port > 0) {
+      feeders.insert(entry.packet->last_in_port);
+    }
+  }
+  return feeders;
+}
+
+}  // namespace
 
 CongestionController::CongestionController(sim::Simulator& sim,
                                            viper::ViperRouter& router,
                                            ControllerConfig config)
-    : sim_(sim), router_(router), config_(config) {
+    : sim_(sim),
+      router_(router),
+      config_(config),
+      limits_{.flow_ttl = config.flow_ttl,
+              .ramp_factor = config.ramp_factor,
+              .ramp_interval = 2 * config.interval} {
   router_.set_shaper([this](int out_port, std::uint8_t next_port,
                             net::PacketPtr packet, net::TxMeta meta,
                             sim::Time earliest) {
@@ -23,7 +44,6 @@ CongestionController::CongestionController(sim::Simulator& sim,
 }
 
 void CongestionController::monitor_port(int port_index) {
-  monitored_ports_.push_back(port_index);
   PortMonitor& monitor = monitors_[port_index];
   if (config_.feed_forward) {
     router_.port(port_index).on_enqueue = [this, &monitor](
@@ -62,16 +82,10 @@ CongestionController::flow_snapshots() const {
   std::vector<FlowSnapshot> out;
   out.reserve(flows_.size());
   for (const auto& [key, flow] : flows_) {
-    out.push_back(FlowSnapshot{key, flow.rate_bps, flow.held.size(),
-                               flow.held_bytes, flow.expires});
+    out.push_back(FlowSnapshot{key, flow.limit.rate_bps, flow.held.size(),
+                               flow.held_bytes, flow.limit.expires});
   }
   return out;  // flows_ is a std::map: already FlowKey-ordered
-}
-
-double CongestionController::granted_rate(const FlowKey& key) const {
-  const auto it = flows_.find(key);
-  return it == flows_.end() ? std::numeric_limits<double>::infinity()
-                            : it->second.rate_bps;
 }
 
 std::size_t CongestionController::held_packets() const {
@@ -80,12 +94,18 @@ std::size_t CongestionController::held_packets() const {
   return n;
 }
 
+double CongestionController::bucket_cap(double rate_bps) const {
+  // Allow ~2 report intervals of burst so shaping does not starve the link.
+  return rate_bps * 2.0 * sim::to_seconds(config_.interval);
+}
+
 void CongestionController::refill(FlowState& flow) {
   const sim::Time now = sim_.now();
   if (now > flow.last_refill) {
-    flow.bucket_bits += flow.rate_bps * sim::to_seconds(now -
-                                                        flow.last_refill);
-    flow.bucket_bits = std::min(flow.bucket_bits, flow.bucket_cap_bits);
+    flow.bucket_bits +=
+        flow.limit.rate_bps * sim::to_seconds(now - flow.last_refill);
+    flow.bucket_bits =
+        std::min(flow.bucket_bits, bucket_cap(flow.limit.rate_bps));
     flow.last_refill = now;
   }
 }
@@ -126,9 +146,7 @@ bool CongestionController::shape(int out_port, std::uint8_t next_port,
   flow.held.push_back(Held{std::move(packet), meta, out_port, earliest});
   flow.out_port = out_port;
   schedule_release(key);
-  if (flow.held_bytes > config_.backlog_watermark_bytes) {
-    report_backlog(key, flow);
-  }
+  if (flow.held_bytes > kBacklogWatermarkBytes) report_backlog(flow);
   return true;
 }
 
@@ -139,8 +157,9 @@ void CongestionController::schedule_release(const FlowKey& key) {
   const double need = static_cast<double>(flow.held.front().packet->size()) *
                       8.0;
   sim::Time when = sim_.now();
-  if (flow.bucket_bits < need && flow.rate_bps > 0.0) {
-    when += sim::from_seconds((need - flow.bucket_bits) / flow.rate_bps);
+  const double rate = flow.limit.rate_bps;
+  if (flow.bucket_bits < need && rate > 0.0) {
+    when += sim::from_seconds((need - flow.bucket_bits) / rate);
   }
   flow.release_scheduled = true;
   sim_.at(std::max(when, sim_.now() + 1),
@@ -188,28 +207,39 @@ void CongestionController::on_control(
   if (!report.has_value()) return;
   ++stats_.reports_received;
   if (obs_reports_received_ != nullptr) obs_reports_received_->add();
-  const FlowKey key{report->router_id, report->port};
-  auto [it, inserted] = flows_.try_emplace(key);
+  auto [it, inserted] =
+      flows_.try_emplace(FlowKey{report->router_id, report->port});
   FlowState& flow = it->second;
   if (inserted) {
     ++stats_.flows_created;
     update_flows_gauge();
     flow.last_refill = sim_.now();
   } else {
-    refill(flow);
+    refill(flow);  // at the old rate, before the new one lands
   }
-  flow.rate_bps = report->rate_bps;
-  // Allow ~2 report intervals of burst so shaping does not starve the link.
-  flow.bucket_cap_bits =
-      report->rate_bps * 2.0 * sim::to_seconds(config_.interval);
-  flow.bucket_bits = std::min(flow.bucket_bits, flow.bucket_cap_bits);
-  flow.expires = sim_.now() + config_.flow_ttl;
-  flow.last_report = sim_.now();
+  ThrottleEvent event;
+  event.type = ThrottleEvent::Type::kReport;
+  event.rate_bps = report->rate_bps;
+  ThrottleActions actions;
+  flow.limit = step_(limits_, flow.limit, event, sim_.now(), &actions);
+  flow.bucket_bits =
+      std::min(flow.bucket_bits, bucket_cap(flow.limit.rate_bps));
 }
 
-void CongestionController::report_port_congestion(int port_index) {
+void CongestionController::send_report(int port_index, double rate_bps,
+                                       const std::set<int>& feeders) {
+  const wire::Bytes payload = encode_rate_report(RateReport{
+      router_.router_id(), static_cast<std::uint8_t>(port_index), rate_bps});
+  for (int feeder : feeders) {
+    router_.send_control(feeder, payload);
+    ++stats_.reports_sent;
+    if (obs_reports_sent_ != nullptr) obs_reports_sent_->add();
+  }
+}
+
+void CongestionController::report_port_congestion(int port_index,
+                                                  PortMonitor& monitor) {
   const net::TxPort& out = router_.port(port_index);
-  PortMonitor& monitor = monitors_[port_index];
   const std::uint64_t ff_pressure = monitor.feedforward_seen;
   monitor.feedforward_seen = 0;
 
@@ -219,101 +249,57 @@ void CongestionController::report_port_congestion(int port_index) {
     // the queue drained because the control worked, not because the
     // demand vanished.
     if (config_.feed_forward && ff_pressure > 0 &&
-        monitor.last_share_bps > 0.0 && !monitor.last_feeders.empty()) {
-      const RateReport report{router_.router_id(),
-                              static_cast<std::uint8_t>(port_index),
-                              monitor.last_share_bps};
-      const wire::Bytes payload = encode_rate_report(report);
-      for (int feeder : monitor.last_feeders) {
-        router_.send_control(feeder, payload);
-        ++stats_.reports_sent;
-        if (obs_reports_sent_ != nullptr) obs_reports_sent_->add();
-      }
+        monitor.last_share_bps > 0.0) {
+      send_report(port_index, monitor.last_share_bps, monitor.last_feeders);
     }
     return;
   }
 
-  // "Because the congested router has access to the source route, it can
-  // easily determine the upstream routers feeding the queue": the feeders
-  // are the arrival ports of the packets queued here now.
-  std::set<int> feeders;
-  for (const auto& queued : out.queue()) {
-    if (queued.packet->last_in_port > 0) {
-      feeders.insert(queued.packet->last_in_port);
-    }
-  }
+  std::set<int> feeders = feeders_of(out.queue());
   if (feeders.empty()) return;
-
-  const double share = out.config().rate_bps * config_.target_utilization /
+  const double share = out.config().rate_bps * kTargetUtilization /
                        static_cast<double>(feeders.size());
+  send_report(port_index, share, feeders);
   monitor.last_share_bps = share;
-  monitor.last_feeders.assign(feeders.begin(), feeders.end());
-  const RateReport report{router_.router_id(),
-                          static_cast<std::uint8_t>(port_index), share};
-  const wire::Bytes payload = encode_rate_report(report);
-  for (int feeder : feeders) {
-    router_.send_control(feeder, payload);
-    ++stats_.reports_sent;
-    if (obs_reports_sent_ != nullptr) obs_reports_sent_->add();
-  }
+  monitor.last_feeders = std::move(feeders);
 }
 
-void CongestionController::report_backlog(const FlowKey& key,
-                                          FlowState& flow) {
+void CongestionController::report_backlog(FlowState& flow) {
   // Recursive backpressure: our shaping queue for this flow is itself
   // congested, so grant our feeders shares of *our* granted rate.
-  (void)key;
-  std::set<int> feeders;
-  for (const auto& held : flow.held) {
-    if (held.packet->last_in_port > 0) {
-      feeders.insert(held.packet->last_in_port);
-    }
-  }
+  const std::set<int> feeders = feeders_of(flow.held);
   if (feeders.empty()) return;
-  const double share =
-      flow.rate_bps / static_cast<double>(feeders.size());
-  const RateReport report{router_.router_id(),
-                          static_cast<std::uint8_t>(flow.out_port), share};
-  const wire::Bytes payload = encode_rate_report(report);
-  for (int feeder : feeders) {
-    router_.send_control(feeder, payload);
-    ++stats_.reports_sent;
-    if (obs_reports_sent_ != nullptr) obs_reports_sent_->add();
-  }
+  send_report(flow.out_port,
+              flow.limit.rate_bps / static_cast<double>(feeders.size()),
+              feeders);
 }
 
 void CongestionController::tick() {
-  for (int port_index : monitored_ports_) {
-    report_port_congestion(port_index);
+  for (auto& [port_index, monitor] : monitors_) {
+    report_port_congestion(port_index, monitor);
   }
 
-  // Soft-state maintenance: expire dead limits, ramp quiet ones back up.
+  // Soft-state maintenance through the shared core: expire dead limits,
+  // ramp quiet ones back up, drop those that reach the egress rate.
+  ThrottleEvent event;
+  event.type = ThrottleEvent::Type::kTick;
   for (auto it = flows_.begin(); it != flows_.end();) {
     FlowState& flow = it->second;
-    const double capacity =
+    ThrottleConfig limits = limits_;
+    limits.rate_ceiling_bps =
         flow.out_port > 0 ? router_.port(flow.out_port).config().rate_bps
                           : std::numeric_limits<double>::infinity();
-    bool erase = false;
-    if (sim_.now() >= flow.expires) {
-      ++stats_.flows_expired;
-      erase = true;
-    } else if (sim_.now() - flow.last_report >= 2 * config_.interval) {
-      // No fresh report: push the authorized rate up (network slow-start).
-      flow.rate_bps *= config_.ramp_factor;
-      flow.bucket_cap_bits =
-          flow.rate_bps * 2.0 * sim::to_seconds(config_.interval);
-      if (flow.rate_bps >= capacity) {
-        ++stats_.flows_ramped_out;
-        erase = true;
-      }
-    }
-    if (erase) {
-      flush(flow);
-      it = flows_.erase(it);
-      update_flows_gauge();
-    } else {
+    ThrottleActions actions;
+    flow.limit = step_(limits, flow.limit, event, sim_.now(), &actions);
+    if (!actions.erase) {
       ++it;
+      continue;
     }
+    ++(sim_.now() >= flow.limit.expires ? stats_.flows_expired
+                                        : stats_.flows_ramped_out);
+    flush(flow);
+    it = flows_.erase(it);
+    update_flows_gauge();
   }
 
   sim_.after(config_.interval, [this] { tick(); });

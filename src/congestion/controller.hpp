@@ -13,37 +13,42 @@
 //    packets heading for a congested downstream queue (identified by
 //    peeking the packet's next segment — "because the upstream routers
 //    have access to the source route on each packet, they can determine
-//    the packets destined for this queue").  Limits are token buckets held
-//    as *soft state*: they expire, and quiet flows ramp their rate back up
-//    ("similar to Jacobson's slow start ... applied at the network layer").
-//    If its own shaping backlog grows it recursively reports further
-//    upstream.
+//    the packets destined for this queue").  Each limit is a token bucket
+//    whose rate is *soft state*: it expires, and quiet flows ramp their
+//    rate back up ("similar to Jacobson's slow start ... applied at the
+//    network layer").  That soft state moves only through cc::throttle_step
+//    (congestion/throttle_core.hpp), the core the source hosts and the
+//    model checker share.  If its own shaping backlog grows it recursively
+//    reports further upstream.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "congestion/messages.hpp"
+#include "congestion/throttle_core.hpp"
 #include "sim/simulator.hpp"
 #include "viper/router.hpp"
 
 namespace srp::cc {
 
+/// Fraction of link capacity shared out to feeders when congested.
+inline constexpr double kTargetUtilization = 0.9;
+/// Shaping backlog that triggers recursive upstream reports.
+inline constexpr std::size_t kBacklogWatermarkBytes = 24'000;
+
 struct ControllerConfig {
-  /// Monitoring / reporting period.
+  /// Monitoring / reporting period.  A limit ramps after 2 quiet periods.
   sim::Time interval = sim::kMillisecond;
   /// Output queue depth that declares congestion.
   std::size_t queue_watermark_bytes = 24'000;
-  /// Fraction of link capacity shared out to feeders when congested.
-  double target_utilization = 0.9;
   /// Soft-state lifetime of a rate limit with no fresh reports.
   sim::Time flow_ttl = 50 * sim::kMillisecond;
   /// Multiplicative rate increase per quiet interval (network slow-start).
   double ramp_factor = 1.4;
-  /// Shaping backlog that triggers recursive upstream reports.
-  std::size_t backlog_watermark_bytes = 24'000;
   /// Paper §2.2 ("we are also exploring providing feed forward load
   /// information on packets transiting rate-controlled links"): shaped
   /// packets carry their queue backlog downstream, and a congested router
@@ -84,9 +89,6 @@ class CongestionController {
   /// reports the controller sends do not depend on what is wired here.
   void set_observer(const obs::Observer& observer);
 
-  /// Currently granted rate toward @p key; +inf when unlimited.
-  [[nodiscard]] double granted_rate(const FlowKey& key) const;
-
   /// Number of packets currently held by shaping queues.
   [[nodiscard]] std::size_t held_packets() const;
 
@@ -102,6 +104,10 @@ class CongestionController {
   /// Every active rate limit in deterministic (FlowKey) order.
   [[nodiscard]] std::vector<FlowSnapshot> flow_snapshots() const;
 
+  /// Model-checker regression hook (tests/mc_regress): replaces the
+  /// transition core, as SourceThrottle::set_step_for_test does.
+  void set_step_for_test(ThrottleStepFn step) { step_ = step; }
+
  private:
   struct Held {
     net::PacketPtr packet;
@@ -111,12 +117,9 @@ class CongestionController {
   };
 
   struct FlowState {
-    double rate_bps = 0.0;
+    ThrottleState limit;  ///< rate, expiry, last report: the soft state
     double bucket_bits = 0.0;
-    double bucket_cap_bits = 0.0;
     sim::Time last_refill = 0;
-    sim::Time expires = 0;
-    sim::Time last_report = 0;
     std::deque<Held> held;
     std::size_t held_bytes = 0;
     bool release_scheduled = false;
@@ -127,23 +130,28 @@ class CongestionController {
   bool shape(int out_port, std::uint8_t next_port, net::PacketPtr packet,
              net::TxMeta meta, sim::Time earliest);
   void on_control(std::span<const std::uint8_t> payload);
+  [[nodiscard]] double bucket_cap(double rate_bps) const;
   void refill(FlowState& flow);
   void schedule_release(const FlowKey& key);
   void release_ready(const FlowKey& key);
   void flush(FlowState& flow);
-  void report_port_congestion(int port_index);
-  void report_backlog(const FlowKey& key, FlowState& flow);
 
   struct PortMonitor {
     std::uint64_t feedforward_seen = 0;  ///< sum over the current interval
     double last_share_bps = 0.0;         ///< most recent grant per feeder
-    std::vector<int> last_feeders;
+    std::set<int> last_feeders;
   };
+
+  void report_port_congestion(int port_index, PortMonitor& monitor);
+  void report_backlog(FlowState& flow);
+  void send_report(int port_index, double rate_bps,
+                   const std::set<int>& feeders);
 
   sim::Simulator& sim_;
   viper::ViperRouter& router_;
   ControllerConfig config_;
-  std::vector<int> monitored_ports_;
+  ThrottleConfig limits_;  ///< the core's settings; ceiling set per flow
+  ThrottleStepFn step_ = &throttle_step;
   std::map<int, PortMonitor> monitors_;     // monitored port state
   std::map<int, std::uint32_t> neighbors_;  // out port -> router id
   std::map<FlowKey, FlowState> flows_;

@@ -1,9 +1,10 @@
-// Pure transition core for one source-throttle flow entry.
+// Pure transition core for one rate limit's soft state.
 //
-// The runtime driver (congestion/throttle.hpp) and the bounded model
-// checker (src/mc) share this step function, so the state machine the
-// checker verifies is — by construction — the one the shipping code runs
-// (DESIGN.md §10).  The core is side-effect free: it never touches the
+// Both runtime drivers — the source host's throttle (congestion/
+// throttle.hpp) and the router's congestion controller (congestion/
+// controller.hpp) — and the bounded model checker (src/mc) share this step
+// function, so the state machine the checker verifies is — by
+// construction — the one the shipping code runs (DESIGN.md §10).  The core is side-effect free: it never touches the
 // simulator, allocates, or reads ambient state; time is a parameter.
 //
 // Lifecycle of one (router, port) entry:
@@ -26,8 +27,9 @@
 
 namespace srp::cc {
 
-/// Source-throttle tuning, read by the transition core and by
-/// SourceThrottle's tick timer (ramp_interval).
+/// Rate-limit tuning, read by the transition core.  SourceThrottle also
+/// ticks every ramp_interval; CongestionController derives one from its
+/// own settings, with the egress port's rate as the ceiling.
 struct ThrottleConfig {
   sim::Time flow_ttl = 50 * sim::kMillisecond;
   double ramp_factor = 1.4;

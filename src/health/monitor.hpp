@@ -104,7 +104,6 @@ class HealthMonitor {
   [[nodiscard]] const HealthConfig& config() const { return config_; }
   [[nodiscard]] const SeriesStore& series() const { return series_; }
   [[nodiscard]] const AlertEngine& engine() const { return engine_; }
-  [[nodiscard]] std::size_t probes() const { return probes_.size(); }
 
   /// Root-cause hint for @p alert (normally one that fired).
   [[nodiscard]] RootCause diagnose(const Alert& alert) const;

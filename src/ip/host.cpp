@@ -12,7 +12,7 @@ void IpHost::send(Addr dst, std::uint8_t protocol,
   IpHeader h;
   h.tos = tos;
   h.id = next_id_++;
-  h.ttl = config_.default_ttl;
+  h.ttl = kDefaultTtl;
   h.protocol = protocol;
   h.src = config_.address;
   h.dst = dst;
@@ -63,7 +63,7 @@ void IpHost::accept_fragment(const IpPacketView& view) {
     }
     it = reassemblies_.emplace(key, Reassembly{}).first;
     it->second.first_header = view.header;
-    it->second.timer = sim_.after(config_.reassembly_timeout, [this, key] {
+    it->second.timer = sim_.after(kReassemblyTimeout, [this, key] {
       const auto victim = reassemblies_.find(key);
       if (victim != reassemblies_.end()) {
         ++stats_.reassembly_timeouts;

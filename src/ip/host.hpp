@@ -16,11 +16,14 @@
 
 namespace srp::ip {
 
+/// An incomplete reassembly is discarded this long after its first fragment.
+inline constexpr sim::Time kReassemblyTimeout = 500 * sim::kMillisecond;
+/// TTL of every datagram a host sends.
+inline constexpr std::uint8_t kDefaultTtl = 64;
+
 struct IpHostConfig {
   Addr address = 0;
-  sim::Time reassembly_timeout = 500 * sim::kMillisecond;
   std::size_t max_reassemblies = 64;
-  std::uint8_t default_ttl = 64;
 };
 
 class IpHost : public net::PortedNode {

@@ -15,7 +15,7 @@ void IpRouter::add_connected(Addr host, int out_port) {
 
 std::optional<int> IpRouter::lookup(Addr dst) const {
   const auto it = table_.find(dst);
-  if (it == table_.end() || it->second.metric >= config_.infinity_metric) {
+  if (it == table_.end() || it->second.metric >= kInfinityMetric) {
     return std::nullopt;
   }
   return it->second.out_port;
@@ -30,7 +30,7 @@ void IpRouter::on_arrival(const net::Arrival& arrival) {
   ++stats_.received;
   // Store-and-forward: nothing can happen before the last bit is in, and
   // then the packet pays the processing delay.
-  sim_.at(arrival.tail + config_.proc_delay,
+  sim_.at(arrival.tail + kProcDelay,
           [this, arrival] { process(arrival); });
 }
 

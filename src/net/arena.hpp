@@ -47,7 +47,6 @@ class PacketArena {
   PacketPtr acquire(std::size_t image_bytes);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t pooled() const { return pool_.size(); }
 
  private:
   /// Scrubs a slab for reuse.  Only called when the pool is the sole

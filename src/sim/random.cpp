@@ -87,11 +87,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
-double Rng::pareto(double xm, double alpha) {
-  const double u = 1.0 - next_double();  // (0,1]
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 Rng Rng::split() { return Rng{next_u64()}; }
 
 }  // namespace srp::sim

@@ -49,10 +49,6 @@ class Rng {
   /// Standard normal via Box–Muller (no cached spare: keeps state minimal).
   double normal(double mean, double stddev);
 
-  /// Pareto-distributed value with scale @p xm and shape @p alpha — used
-  /// for heavy-tailed burst sizes.
-  double pareto(double xm, double alpha);
-
   /// Forks an independent stream; derived deterministically from this
   /// stream so components can be given private generators.
   Rng split();

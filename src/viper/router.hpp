@@ -200,9 +200,6 @@ class ViperRouter : public net::PortedNode {
   /// same MTU truncation as any trailer bytes).  Off by default; a disabled
   /// router is byte-identical to one built before telemetry existed.
   void set_path_telemetry(bool enabled) { telemetry_enabled_ = enabled; }
-  [[nodiscard]] bool path_telemetry_enabled() const {
-    return telemetry_enabled_;
-  }
 
   void set_control_handler(ControlHandler handler) {
     control_handler_ = std::move(handler);

@@ -33,10 +33,10 @@ TEST(ComboStack, VmtpTransactionAcrossTheIpTunnel) {
   constexpr ip::Addr kGw1 = 0x0A010001, kGw2 = 0x0A020001;
   auto& gw1_ip = net.add<ip::IpHost>(
       "gw1-ip", net.packets(),
-      ip::IpHostConfig{kGw1, 500 * sim::kMillisecond, 64, 64});
+      ip::IpHostConfig{kGw1});
   auto& gw2_ip = net.add<ip::IpHost>(
       "gw2-ip", net.packets(),
-      ip::IpHostConfig{kGw2, 500 * sim::kMillisecond, 64, 64});
+      ip::IpHostConfig{kGw2});
   auto& cloud = net.add<ip::IpRouter>("cloud", net.packets(),
                                       ip::IpRouterConfig{0x0A0000FE});
   const net::LinkConfig cfg{1e9, 10 * sim::kMicrosecond, 1500};

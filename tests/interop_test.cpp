@@ -50,13 +50,9 @@ struct MixedNet {
     gw2 = &net.add<viper::ViperRouter>("gw2", viper::RouterConfig{});
     bob = &net.add<viper::ViperHost>("bob", net.packets());
     gw1_ip = &net.add<ip::IpHost>("gw1-ip", net.packets(),
-                                  ip::IpHostConfig{kGw1Addr,
-                                                   500 * sim::kMillisecond,
-                                                   64, 64});
+                                  ip::IpHostConfig{kGw1Addr});
     gw2_ip = &net.add<ip::IpHost>("gw2-ip", net.packets(),
-                                  ip::IpHostConfig{kGw2Addr,
-                                                   500 * sim::kMillisecond,
-                                                   64, 64});
+                                  ip::IpHostConfig{kGw2Addr});
     ipr1 = &net.add<ip::IpRouter>("ipr1", net.packets(),
                                   ip::IpRouterConfig{0x0A0100FE});
     ipr2 = &net.add<ip::IpRouter>("ipr2", net.packets(),

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "congestion/controller.hpp"
+#include "congestion/messages.hpp"
 #include "congestion/throttle.hpp"
 #include "directory/fabric.hpp"
 #include "fault/engine.hpp"
@@ -546,6 +548,46 @@ TEST(Regress, ThrottleNoDecayNeverExpiresOnlyOnMutant) {
       EXPECT_EQ(throttle.active_flows(), 1u);  // soft state never expires
     } else {
       EXPECT_EQ(throttle.active_flows(), 0u);
+    }
+  }
+}
+
+// The same counterexample, replayed through a router: the congestion
+// controller runs its soft state on the throttle core too, so the broken
+// sweep keeps a router's limit alive just as it does a host's.
+TEST(Regress, ThrottleNoDecayRouterLimitNeverExpiresOnlyOnMutant) {
+  const CounterExample cx = load_regress("throttle-no-decay.json");
+  ASSERT_EQ(cx.mutant, "throttle-no-decay");
+
+  for (const bool use_mutant : {false, true}) {
+    sim::Simulator sim;
+    dir::Fabric fabric(sim);
+    auto& shaper = fabric.add_router("r.mc");
+    auto& neighbor = fabric.add_router("r.down");
+    fabric.connect(shaper, neighbor);
+    cc::ControllerConfig config;
+    config.interval = sim::kMillisecond / 2;  // ramps every model tick
+    config.flow_ttl = 2 * sim::kMillisecond;  // ThrottleScenario's TTL
+    config.ramp_factor = 2.0;
+    cc::CongestionController controller(sim, shaper, config);
+    if (use_mutant) {
+      controller.set_step_for_test(mutant(cx.mutant).throttle);
+    }
+
+    // rate-report: the neighbour grants 1000 b/s as a control packet.
+    neighbor.send_control(
+        1, cc::encode_rate_report(cc::RateReport{
+               fabric.id_of(neighbor), 2, 1000.0}));  // report_rate_bps
+    sim.run_until(sim::kMillisecond / 4);
+    EXPECT_EQ(controller.flow_snapshots().size(), 1u);
+
+    sim.run_until(10 * sim::kMillisecond);  // ample ticks
+    if (use_mutant) {
+      EXPECT_EQ(controller.flow_snapshots().size(), 1u);  // never expires
+      EXPECT_EQ(controller.stats().flows_expired, 0u);
+    } else {
+      EXPECT_TRUE(controller.flow_snapshots().empty());
+      EXPECT_EQ(controller.stats().flows_expired, 1u);
     }
   }
 }
